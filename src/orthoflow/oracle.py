@@ -5,23 +5,32 @@ second-order difference equation at the nodes all check the flow output
 without touching the flow code path. The difference-equation residual
 evaluates the polynomial in factored form (products over the supplied
 roots); Horner on the expanded coefficients loses several digits at
-degree ~30 and large |x|.
+degree ~30 and large |x|. The companion eigenvalues are Newton-polished
+with exact integer evaluation of the polynomial at each double iterate, and
+a residual whose products overflow raises instead of passing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
-from .errors import ComplexRoots, SingularFactor
+from .errors import ComplexRoots, PrecisionLoss, SingularFactor
 from .flow import FlowSettings, PotentialKind, solve_roots
 from .params import ContinuousHahnParams, Family, WilsonParams
-from .polynomials import MonicPoly, VariableKind, monic_continuous_hahn, monic_wilson
+from .polynomials import (
+    MonicPoly,
+    VariableKind,
+    _dyadic,
+    _exact_to_float,
+    monic_continuous_hahn,
+    monic_wilson,
+)
 from .potentials import FlowFamily, hessian
 
 _IMAG_ROOT_TOL = 1e-6
+_NEWTON_MAX_STEPS = 50
 _SINGULAR_TOL = 1e-12
 
 
@@ -44,34 +53,42 @@ class VerificationReport:
             raise ValueError("hessian_min_eigenvalue must be finite")
 
 
-def _newton_refine(coeffs: np.ndarray, z0: float) -> float:
-    """Polish a simple real root of sum(coeffs[k] z^k) in extended precision.
+def _newton_polish(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Newton-polish real roots of sum(coeffs[k] x^k) from the estimates z.
 
-    At degree ~25 the eigenvalue solver returns roots good to ~1e-6 only;
-    a few Newton steps free of evaluation roundoff recover the root of the
-    stored coefficients to full double precision.
+    At degree ~25 the eigenvalue solver returns roots good to ~1e-6 only.
+    Each step evaluates p and p' exactly at the double iterates (all roots
+    at once, by a homogeneous integer Horner scheme) and rounds the exact
+    Newton update to double; a root is done when its iterate repeats or
+    p' vanishes there. This recovers the roots of the stored coefficients
+    to full double precision.
     """
-    cs = [mp.mpf(c) for c in coeffs]
-    with mp.workdps(50):
-        z = mp.mpf(z0)
-        for _ in range(50):
-            pv = mp.mpf(0)
-            dv = mp.mpf(0)
-            for c in reversed(cs):
-                dv = dv * z + pv
-                pv = pv * z + c
-            if dv == 0:
-                break
-            step = pv / dv
-            z -= step
-            if abs(step) < mp.mpf("1e-40") * (1 + abs(z)):
-                break
-        return float(z)
+    cs, _ = _dyadic(coeffs[::-1])  # the common scale cancels in p / p'
+    z = np.array(z, dtype=float)
+    todo = np.arange(z.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if todo.size == 0:
+            break
+        nums, sh = _dyadic(z[todo])  # iterate = num / 2**sh
+        num = np.array(nums, dtype=object)
+        # after t coefficients: pv = p_t(z) 2**(sh (t-1)), dv = p_t'(z) 2**(sh (t-2))
+        pv = np.zeros(todo.size, dtype=object)
+        dv = np.zeros(todo.size, dtype=object)
+        for t, c in enumerate(cs):
+            dv = dv * num + pv
+            pv = pv * num + (c << (sh * t))
+        live = dv != 0
+        # z - p / p' = (num dv - pv) / (2**sh dv)
+        new = _exact_to_float(num[live] * dv[live] - pv[live], [v << sh for v in dv[live]])
+        moved = new != z[todo[live]]
+        z[todo[live]] = new
+        todo = todo[live][moved]
+    return z
 
 
 def companion_roots(poly: MonicPoly) -> np.ndarray:
     """All roots via balanced QR iteration on the companion matrix, sorted,
-    then Newton-polished in extended precision.
+    then Newton-polished with exact evaluation of the polynomial.
 
     For polynomials in x**2 the roots in x**2 must all be positive; the
     positive square roots are returned.
@@ -79,10 +96,12 @@ def companion_roots(poly: MonicPoly) -> np.ndarray:
     if poly.degree < 1:
         raise ValueError("degree must be at least 1")
     raw = np.roots(poly.coeffs[::-1])
+    if not np.all(np.isfinite(raw)):
+        raise PrecisionLoss("companion eigenvalues are not finite")
     scale = 1.0 + np.abs(raw.real)
     if np.any(np.abs(raw.imag) > _IMAG_ROOT_TOL * scale):
         raise ComplexRoots("companion roots have non-negligible imaginary parts")
-    roots = np.sort([_newton_refine(poly.coeffs, r) for r in raw.real])
+    roots = np.sort(_newton_polish(poly.coeffs, raw.real))
     if poly.variable_kind is VariableKind.X_SQUARED:
         if np.any(roots <= 0):
             raise ComplexRoots("x^2-roots must be positive inside the orthogonality regime")
@@ -91,39 +110,28 @@ def companion_roots(poly: MonicPoly) -> np.ndarray:
 
 
 def min_eigenvalue_symmetric(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> float:
-    """Smallest eigenvalue of a symmetric matrix by cyclic Jacobi rotations."""
+    """Smallest eigenvalue of a symmetric matrix (LAPACK ``eigvalsh``).
+
+    ``tol`` and ``max_sweeps`` are accepted for compatibility and unused.
+    """
     a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return float(a[0, 0])
-    norm = np.linalg.norm(a)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * max(norm, 1.0):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return float(np.min(np.diag(a)))
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 def _checked_ratio(num: complex, den: complex) -> complex:
     if abs(den) < _SINGULAR_TOL:
         raise SingularFactor(f"denominator factor {den} below {_SINGULAR_TOL}")
     return num / den
+
+
+def _finite(value, what: str):
+    """``value``, or PrecisionLoss if it is not finite: max(0.0, nan) is 0.0,
+    so an overflowed term would otherwise drop out of a residual silently."""
+    if not np.isfinite(value):
+        raise PrecisionLoss(f"{what} is not finite ({value}): its arithmetic overflowed")
+    return value
 
 
 def bethe_residual_ch(x, p: ContinuousHahnParams) -> float:
@@ -139,7 +147,7 @@ def bethe_residual_ch(x, p: ContinuousHahnParams) -> float:
         for k in range(n):
             if k != j:
                 lhs *= _checked_ratio(1j + xj - x[k], 1j - xj + x[k])
-        worst = max(worst, abs(lhs - target))
+        worst = max(worst, _finite(abs(lhs - target), "Bethe residual"))
     return worst
 
 
@@ -157,7 +165,7 @@ def bethe_residual_w(x, p: WilsonParams) -> float:
             if k != j:
                 lhs *= _checked_ratio(1j + xj + x[k], 1j - xj - x[k])
                 lhs *= _checked_ratio(1j + xj - x[k], 1j - xj + x[k])
-        worst = max(worst, abs(lhs - 1.0))
+        worst = max(worst, _finite(abs(lhs - 1.0), "Bethe residual"))
     return worst
 
 
@@ -211,7 +219,8 @@ def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
             dp = np.prod(xj - others)
         lhs = coeff_a(xj) * _factored_eval(roots, xj + 1j, squared)
         lhs += coeff_a(-xj) * _factored_eval(roots, xj - 1j, squared)
-        scale = abs(lam) * abs(dp)
+        scale = _finite(abs(lam) * abs(dp), "difference-equation scale")
+        _finite(lhs, "difference-equation term")
         if scale < _SINGULAR_TOL:
             raise SingularFactor("degenerate normalization scale (repeated roots?)")
         worst = max(worst, abs(lhs) / scale)

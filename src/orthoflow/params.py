@@ -24,6 +24,12 @@ class Family(Enum):
     JACOBI = "jacobi"
 
 
+def _require_finite(**values) -> None:
+    for name, v in values.items():
+        if not cmath.isfinite(v):
+            raise ParameterError(f"{name} must be finite, got {v}")
+
+
 def _is_conjugate_pair(u: complex, v: complex) -> bool:
     return cmath.isclose(u, v.conjugate(), rel_tol=_CONJ_RTOL, abs_tol=1e-300)
 
@@ -43,6 +49,7 @@ class ContinuousHahnParams:
         a, b = complex(self.a), complex(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        _require_finite(a=a, b=b)
         if not (a.real > 0 and b.real > 0):
             raise ParameterError(f"Re(a) and Re(b) must be positive, got a={a}, b={b}")
         if (a.imag != 0 or b.imag != 0) and not _is_conjugate_pair(a, b):
@@ -70,6 +77,7 @@ class WilsonParams:
         vals = [complex(v) for v in (self.a, self.b, self.c, self.d)]
         for name, v in zip("abcd", vals):
             object.__setattr__(self, name, v)
+        _require_finite(**dict(zip("abcd", vals)))
         low = 0.0 if self.allow_boundary else None
         for v in vals:
             if low is None:
@@ -103,6 +111,7 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
+        _require_finite(alpha=self.alpha, beta=self.beta)
         if not (self.alpha > -1 and self.beta > -1):
             raise ParameterError(
                 f"alpha and beta must exceed -1, got ({self.alpha}, {self.beta})"

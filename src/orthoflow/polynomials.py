@@ -1,21 +1,23 @@
 """Monic continuous Hahn, Wilson and Jacobi polynomials from their
 terminating hypergeometric series.
 
-The series terms are accumulated as polynomial coefficient vectors. The
-alternating terms cancel massively (tens of digits at degree 30), so the
-accumulation runs in mpmath arbitrary precision scaled with the degree
-and is converted to double-precision reals at the end. The conjugate-pair
-parameter constraints guarantee the imaginary parts are pure roundoff,
-which is asserted rather than silently truncated.
+The alternating series terms cancel massively (tens of digits at degree
+30), so the series is summed exactly: every double parameter is a dyadic
+rational, and after scaling term k by the full Pochhammer denominators the
+sum is a polynomial with Gaussian-integer coefficients. Each coefficient is
+rounded to double once, by one exact integer division, so no working
+precision has to be chosen. The conjugate-pair parameter constraints make
+the imaginary parts vanish (up to the conjugacy tolerance of the parameter
+records), which is asserted rather than silently truncated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb, factorial
 
 import numpy as np
-from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateParameters, PrecisionLoss
 from .params import ContinuousHahnParams, JacobiParams, WilsonParams
@@ -69,11 +71,79 @@ def pochhammer(z: complex, k: int) -> complex:
     return out
 
 
-def _mp_poch(z, k: int):
-    out = mpc(1)
-    for j in range(k):
-        out *= z + j
+def _dyadic(values) -> tuple[list[int], int]:
+    """Finite doubles as integers over one power of two.
+
+    Returns ``(nums, shift)`` with ``values[i] == nums[i] / 2**shift`` exactly.
+    """
+    ratios = [float(v).as_integer_ratio() for v in values]
+    shift = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (shift + 1 - den.bit_length()) for num, den in ratios], shift
+
+
+def _exact_to_float(nums, dens) -> np.ndarray:
+    """Correctly rounded doubles of the exact ratios nums[i] / dens[i]."""
+    try:
+        return np.array([num / den for num, den in zip(nums, dens)], dtype=float)
+    except OverflowError:
+        raise PrecisionLoss("an exact result exceeds the double range") from None
+
+
+def _gmul(x, y):
+    """Product of Gaussian integers given as (re, im) pairs; the parts of
+    ``y`` may be object arrays."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gprod(zs):
+    out = (1, 0)
+    for z in zs:
+        out = _gmul(out, z)
     return out
+
+
+def _rising(z, d: int, n: int) -> list:
+    """The Gaussian integers z, z + d, ..., z + (n-1) d."""
+    return [(z[0] + j * d, z[1]) for j in range(n)]
+
+
+def _series(upper, lower, const, lin):
+    """Exact sum over k = 0..n of
+
+        (-1)^k C(n, k) prod_{j<k} upper[j] prod_{k<=j<n} lower[j] prod_{j<k} (const[j] + lin y)
+
+    for length-n lists of Gaussian integers (re, im). Returns the ascending
+    coefficients in y as a pair (re, im) of integer object arrays.
+
+    Horner over k: H_n = (-1)^n and H_k = (-1)^k C(n, k) L_k +
+    upper[k] (const[k] + lin y) H_{k+1}, with L_k the product of lower[j], j >= k.
+    """
+    n = len(upper)
+    re = np.array([(-1) ** n], dtype=object)
+    im = np.array([0], dtype=object)
+    low = (1, 0)
+    for k in range(n - 1, -1, -1):
+        low = _gmul(low, lower[k])
+        pr, pi = _gmul(_gmul(upper[k], const[k]), (re, im))
+        qr, qi = _gmul(_gmul(upper[k], lin), (re, im))
+        re, im = np.append(pr, 0), np.append(pi, 0)
+        re[1:] += qr
+        im[1:] += qi
+        c = (-1) ** k * comb(n, k)
+        re[0] += c * low[0]
+        im[0] += c * low[1]
+    return re, im
+
+
+def _divide(re, im, den, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Doubles of (re[m] + i im[m]) / (den * 2**shifts[m]), den a nonzero
+    Gaussian integer (re, im)."""
+    dr, di = den
+    if di:
+        re, im = _gmul((dr, -di), (re, im))
+        dr = dr * dr + di * di
+    dens = [dr << int(s) for s in shifts]
+    return _exact_to_float(re, dens), _exact_to_float(im, dens)
 
 
 def _check_denominators(factors, n: int):
@@ -85,14 +155,7 @@ def _check_denominators(factors, n: int):
                 )
 
 
-def _working_dps(n: int) -> int:
-    # ~2 digits of cancellation per degree observed for the showcase-scale parameters
-    return 30 + 2 * n
-
-
-def _to_real(coeffs) -> np.ndarray:
-    re = np.array([float(v.real) for v in coeffs])
-    im = np.array([float(v.imag) for v in coeffs])
+def _to_real(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     bound = _IMAG_RESIDUE_TOL * (1.0 + np.abs(re))
     if np.any(np.abs(im) > bound):
         worst = float(np.max(np.abs(im) / bound))
@@ -118,29 +181,17 @@ def _check_degree(n: int):
         raise ValueError(f"degree {n} exceeds double-precision cap {MAX_DEGREE}")
 
 
-def _series_accumulate(n, factor_step, coeff_step):
-    """Sum c_k * f_k(x) where f_k has ascending coefficients ``factor``.
-
-    ``factor_step(factor, k)`` returns the coefficients of f_{k+1} from f_k;
-    ``coeff_step(c, k)`` returns c_{k+1} from c_k.
-    """
-    acc = [mpc(0)] * (n + 1)
-    factor = [mpc(1)]
-    c = mpc(1)
-    for k in range(n + 1):
-        for idx, f in enumerate(factor):
-            acc[idx] += c * f
-        if k < n:
-            factor = factor_step(factor, k)
-            c = coeff_step(c, k)
-    return acc
+def _gaussian(values) -> tuple[list[tuple[int, int]], int]:
+    """Complex doubles as Gaussian integers (re, im) over one power of two."""
+    nums, shift = _dyadic([part for v in values for part in (v.real, v.imag)])
+    return list(zip(nums[0::2], nums[1::2])), shift
 
 
 def monic_continuous_hahn(n: int, p: ContinuousHahnParams) -> MonicPoly:
     """Monic symmetric continuous Hahn polynomial of degree n in x.
 
-    Expands the terminating 3F2 series term by term as a complex
-    polynomial in x and converts to real coefficients.
+    Sums the terminating 3F2 series exactly as a polynomial in x and
+    converts to real coefficients.
     """
     _check_degree(n)
     if n == 0:
@@ -151,33 +202,27 @@ def monic_continuous_hahn(n: int, p: ContinuousHahnParams) -> MonicPoly:
     s0 = p.a + p.a.conjugate() + p.b + p.b.conjugate()
     _check_denominators([n + s0 - 1], n)
 
-    with mp.workdps(_working_dps(n)):
-        a, b = mpc(p.a), mpc(p.b)
-        e1 = a + a.conjugate()
-        e2 = a + b.conjugate()
-        s = e1 + b + b.conjugate()
-
-        def factor_step(factor, k):  # multiply by (a + k) + i x
-            new = [mpc(0)] * (len(factor) + 1)
-            for idx, f in enumerate(factor):
-                new[idx] += f * (a + k)
-                new[idx + 1] += f * 1j
-            return new
-
-        def coeff_step(c, k):
-            return c * (-n + k) * (n + s - 1 + k) / ((k + 1) * (e1 + k) * (e2 + k))
-
-        acc = _series_accumulate(n, factor_step, coeff_step)
-        pref = mpc(1j) ** n * _mp_poch(e1, n) * _mp_poch(e2, n) / _mp_poch(n + s - 1, n)
-        coeffs = _to_real([pref * v for v in acc])
-    return _monic(coeffs, VariableKind.X)
+    # with D = 2**sh and the parameters scaled by D, term k times
+    # (e1)_n (e2)_n is D^-2n (-1)^k C(n, k) (n+s-1)_k (e1+k)_{n-k}
+    # (e2+k)_{n-k} (a+ix)_k, an integer polynomial in t = iDx
+    (a, b), sh = _gaussian([p.a, p.b])
+    d = 1 << sh
+    e1, e2 = (2 * a[0], 0), (a[0] + b[0], a[1] - b[1])
+    upper = _rising(((n - 1) * d + e1[0] + 2 * b[0], 0), d, n)  # (n+s-1+j) D, real
+    lower = [_gmul(u, v) for u, v in zip(_rising(e1, d, n), _rising(e2, d, n))]
+    re, im = _series(upper, lower, _rising(a, d, n), (1, 0))
+    # coefficient of x^m: i^(n+m) D^(m-n) t_m / (n+s-1)_n
+    rot = (n + np.arange(n + 1)) % 4
+    re, im = np.choose(rot, [re, -im, -re, im]), np.choose(rot, [im, re, -im, -re])
+    re, im = _divide(re, im, _gprod(upper), sh * (n - np.arange(n + 1)))
+    return _monic(_to_real(re, im), VariableKind.X)
 
 
 def monic_wilson(n: int, p: WilsonParams) -> MonicPoly:
     """Monic Wilson polynomial of degree n in x**2.
 
-    The factor (a+ix)_k (a-ix)_k of the 4F3 series is expanded as a real
-    polynomial in x**2.
+    The factor (a+ix)_k (a-ix)_k of the 4F3 series is expanded as a
+    polynomial in x**2 and the series is summed exactly.
     """
     _check_degree(n)
     if n == 0:
@@ -185,29 +230,22 @@ def monic_wilson(n: int, p: WilsonParams) -> MonicPoly:
     _check_denominators([p.a + p.b, p.a + p.c, p.a + p.d], n)
     _check_denominators([n + p.a + p.b + p.c + p.d - 1], n)
 
-    with mp.workdps(_working_dps(n)):
-        a, b, c_, d = (mpc(v) for v in p.values)
-        e = [a + b, a + c_, a + d]
-        sigma = a + b + c_ + d
-
-        def factor_step(factor, k):  # multiply by (a + k)^2 + u, u = x^2
-            new = [mpc(0)] * (len(factor) + 1)
-            for idx, f in enumerate(factor):
-                new[idx] += f * (a + k) ** 2
-                new[idx + 1] += f
-            return new
-
-        def coeff_step(c, k):
-            return c * (-n + k) * (n + sigma - 1 + k) / (
-                (k + 1) * (e[0] + k) * (e[1] + k) * (e[2] + k)
-            )
-
-        acc = _series_accumulate(n, factor_step, coeff_step)
-        pref = (-1) ** n * (
-            _mp_poch(e[0], n) * _mp_poch(e[1], n) * _mp_poch(e[2], n)
-        ) / _mp_poch(n + sigma - 1, n)
-        coeffs = _to_real([pref * v for v in acc])
-    return _monic(coeffs, VariableKind.X_SQUARED)
+    # with D = 2**sh, term k times (e1)_n (e2)_n (e3)_n is D^-3n times an
+    # integer polynomial in v = D^2 x^2; the factor of (a+ix)_k (a-ix)_k is
+    # (a+j)^2 + x^2 = D^-2 ((A+jD)^2 + v)
+    vals, sh = _gaussian(p.values)
+    d = 1 << sh
+    a = vals[0]
+    sigma = ((n - 1) * d + sum(z[0] for z in vals), sum(z[1] for z in vals))
+    upper = _rising(sigma, d, n)
+    es = [(a[0] + e[0], a[1] + e[1]) for e in vals[1:]]  # a+b, a+c, a+d
+    lower = [_gprod(f) for f in zip(*(_rising(e, d, n) for e in es))]
+    re, im = _series(upper, lower, [_gmul(z, z) for z in _rising(a, d, n)], (1, 0))
+    # coefficient of x^(2m): (-1)^n D^(2m-2n) v_m / (n+sigma-1)_n
+    if n % 2:
+        re, im = -re, -im
+    re, im = _divide(re, im, _gprod(upper), 2 * sh * (n - np.arange(n + 1)))
+    return _monic(_to_real(re, im), VariableKind.X_SQUARED)
 
 
 def monic_jacobi(n: int, p: JacobiParams) -> MonicPoly:
@@ -216,26 +254,19 @@ def monic_jacobi(n: int, p: JacobiParams) -> MonicPoly:
     if n == 0:
         return MonicPoly(np.array([1.0]))
 
-    with mp.workdps(_working_dps(n)):
-        al, be = mpf(p.alpha), mpf(p.beta)
-
-        def factor_step(factor, k):  # multiply by (1 - x)/2
-            new = [mpc(0)] * (len(factor) + 1)
-            for idx, f in enumerate(factor):
-                new[idx] += f / 2
-                new[idx + 1] -= f / 2
-            return new
-
-        def coeff_step(c, k):
-            return c * (-n + k) * (n + al + be + 1 + k) / ((k + 1) * (al + 1 + k))
-
-        acc = _series_accumulate(n, factor_step, coeff_step)
-        lead = _mp_poch(n + al + be + 1, n).real / (2**n * mp.factorial(n))
-        if abs(lead) < _DEGENERACY_TOL:
-            raise DegenerateParameters("Jacobi leading coefficient vanishes")
-        scale = _mp_poch(al + 1, n) / mp.factorial(n)
-        coeffs = _to_real([scale * v for v in acc])
-    return _monic(coeffs, VariableKind.X)
+    # with D = 2**sh, term k times 2^n (alpha+1)_n is D^-n (-1)^k C(n, k)
+    # (n+alpha+beta+1)_k 2^(n-k) (alpha+1+k)_{n-k} (1-x)^k, and the
+    # polynomial is (alpha+1)_n / n! times the series
+    (al, be), sh = _dyadic([p.alpha, p.beta])
+    d = 1 << sh
+    upper = _rising(((n + 1) * d + al + be, 0), d, n)
+    lower = [(2 * z[0], 0) for z in _rising((d + al, 0), d, n)]
+    re, _ = _series(upper, lower, [(1, 0)] * n, (-1, 0))
+    den = factorial(n) << (n * sh + n)
+    lead = _exact_to_float([_gprod(upper)[0]], [den])[0]
+    if abs(lead) < _DEGENERACY_TOL:
+        raise DegenerateParameters("Jacobi leading coefficient vanishes")
+    return _monic(_exact_to_float(re, [den] * (n + 1)), VariableKind.X)
 
 
 def eval_poly(poly: MonicPoly, x: complex) -> complex:
