@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import OrthoflowError, ParameterError
 from .flow import FlowSettings, solve_roots
-from .jacobi_baseline import jacobi_kappa
+from .jacobi_baseline import equispaced_start, in_domain, jacobi_kappa
 from .oracle import full_verify, min_eigenvalue_symmetric
 from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 from .potentials import FlowFamily, PotentialKind, hessian
@@ -45,8 +45,10 @@ _VERIFY_TOL = {
 def _parse_real(text: str) -> float:
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
+        num, den = (float(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ParameterError(f"zero denominator in {text!r}")
+        return num / den
     return float(text)
 
 
@@ -78,7 +80,10 @@ def _parse_init_list(text: str, n: int) -> np.ndarray:
             values.append(_parse_real(token))
     if len(values) != n:
         raise ParameterError(f"--x0 supplies {len(values)} coordinates, expected {n}")
-    return np.array(values)
+    x0 = np.array(values)
+    if not np.all(np.isfinite(x0)):
+        raise ParameterError(f"--x0 coordinates must be finite, got {text}")
+    return x0
 
 
 def _require(args, names):
@@ -114,17 +119,15 @@ def _initial_condition(args, kind: PotentialKind) -> np.ndarray:
             raise ParameterError("--init custom requires --x0")
         x0 = _parse_init_list(args.x0, n)
     elif args.init == "equispaced":
-        j = np.arange(1, n + 1)
-        x0 = -1.0 + 2.0 * j / (n + 1)
+        x0 = equispaced_start(n)
     else:  # zeros
         if kind.family is FlowFamily.JACOBI:
             raise ParameterError("init=zeros is invalid for the Jacobi domain (-1, 1)")
         x0 = np.zeros(n)
-    if kind.family is FlowFamily.JACOBI:
-        if np.any(np.diff(x0) <= 0) or np.any(np.abs(x0) >= 1):
-            raise ParameterError(
-                "Jacobi initial conditions must be strictly increasing inside (-1, 1)"
-            )
+    if kind.family is FlowFamily.JACOBI and not in_domain(x0):
+        raise ParameterError(
+            "Jacobi initial conditions must be strictly increasing inside (-1, 1)"
+        )
     return x0
 
 

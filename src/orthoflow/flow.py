@@ -3,6 +3,13 @@
 The integrator is a classical explicit 4th-order one-step method whose
 step is halved whenever the potential fails to decrease across a step;
 monotone descent is the natural cheap error monitor for these flows.
+
+Each ``integrate`` and ``newton_solve`` call builds one evaluator for its
+(kind, n) (see ``potentials``) and keeps it for the run only. The descent
+test evaluates the potential and the rhs together at the trial state, and
+an accepted trial reuses that rhs as the next step's first stage (first
+same as last), so an accepted RK4 step costs four evaluations. Newton
+likewise takes the next gradient from its accepted line-search trial.
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, MaxIterations, SingularHessian, StepUnderflow
-from .jacobi_baseline import equispaced_start, electrostatic_rhs
+from .jacobi_baseline import equispaced_start
 from .params import ContinuousHahnParams
-from .potentials import FlowFamily, PotentialKind, gradient, hessian, potential
+from .potentials import FlowFamily, PotentialKind, evaluator, gradient, hessian
 
 _MIN_STEP = 1e-12
 #: descent-check slack for potential differences at the roundoff floor
@@ -61,16 +68,21 @@ class Trajectory:
 
 def flow_rhs(kind: PotentialKind, x) -> np.ndarray:
     """dx/dt of the flow: -gradient, except the mobility-weighted Jacobi case."""
-    if kind.family is FlowFamily.JACOBI:
-        return electrostatic_rhs(kind.params, x)
-    return -gradient(kind, x)
+    x = np.asarray(x, dtype=float)
+    return evaluator(kind, x.size).rhs(x)
 
 
-def _rk4_step(kind: PotentialKind, x, h, k1):
-    f = lambda y: flow_rhs(kind, y)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
+def _start(x0) -> np.ndarray:
+    x = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the start x0 must be finite")
+    return x
+
+
+def _rk4_step(rhs, x, h, k1):
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -78,27 +90,29 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     """Integrate the flow from x0 until t_max or the rhs max-norm drops
     below grad_tol; the final state is always recorded."""
     settings = settings or FlowSettings()
-    x = np.asarray(x0, dtype=float).copy()
+    x = _start(x0)
     n = x.size
     if n == 0:
         return Trajectory(np.zeros(1), np.zeros((1, 0)), kind)
 
+    ev = evaluator(kind, n)
     t = 0.0
     h = settings.step
     times = [0.0]
     states = [x.copy()]
-    v = potential(kind, x)
+    v, k1 = ev.value_rhs(x)
     accepted = 0
 
     while t < settings.t_max - 1e-14:
-        k1 = flow_rhs(kind, x)
         if np.max(np.abs(k1)) < settings.grad_tol:
             break
         h_try = min(h, settings.t_max - t)
         while True:
             try:
-                x_new = _rk4_step(kind, x, h_try, k1)
-                v_new = potential(kind, x_new)
+                x_new = _rk4_step(ev.rhs, x, h_try, k1)
+                # first same as last: the descent test's evaluation at the
+                # accepted x_new is k1 of the next step
+                v_new, k1_new = ev.value_rhs(x_new)
             except DomainViolation:
                 v_new = np.inf
             if np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)):
@@ -108,7 +122,7 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
                 raise StepUnderflow(
                     f"step halving underflowed at t={t:.6g} (domain singularity?)"
                 )
-        x, v = x_new, v_new
+        x, v, k1 = x_new, v_new, k1_new
         t += h_try
         accepted += 1
         # recover towards the requested step after a forced halving
@@ -127,11 +141,12 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
     """Damped Newton descent on the potential down to gradient max-norm tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.asarray(x0, dtype=float).copy()
+    x = _start(x0)
     if x.size == 0:
         return x
+    ev = evaluator(kind, x.size)
+    v, g = ev.value_gradient(x)
     for _ in range(max_iter):
-        g = gradient(kind, x)
         if np.max(np.abs(g)) < tol:
             return x
         h = hessian(kind, x)
@@ -139,11 +154,12 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian(str(exc)) from exc
-        v = potential(kind, x)
         damping = 1.0
         while damping >= _MIN_STEP:
+            x_try = x + damping * step
             try:
-                v_new = potential(kind, x + damping * step)
+                # the accepted trial also gives the next gradient
+                v_new, g_new = ev.value_gradient(x_try)
             except DomainViolation:
                 v_new = np.inf
             if np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)):
@@ -151,7 +167,7 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
             damping *= 0.5
         else:
             raise SingularHessian("damped Newton step failed to decrease the potential")
-        x = x + damping * step
+        x, v, g = x_try, v_new, g_new
     raise MaxIterations(f"no convergence to gradient tolerance {tol} in {max_iter} steps")
 
 

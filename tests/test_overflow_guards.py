@@ -5,19 +5,27 @@ import pytest
 
 from orthoflow import (
     ContinuousHahnParams,
+    DomainViolation,
     Family,
+    FlowFamily,
     JacobiParams,
     MonicPoly,
     ParameterError,
+    PotentialKind,
     PrecisionLoss,
     WilsonParams,
     bethe_residual_ch,
     bethe_residual_w,
     companion_roots,
     diff_eq_residual,
+    electrostatic_rhs,
+    integrate,
     monic_continuous_hahn,
     monic_jacobi,
+    newton_solve,
+    potential,
 )
+from orthoflow.jacobi_baseline import in_domain
 from orthoflow.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 NON_FINITE = [float("inf"), float("-inf"), float("nan")]
@@ -102,3 +110,50 @@ def test_bethe_residual_non_finite_term_raises(bad):
             bethe_residual_ch([0.0, bad], ContinuousHahnParams(1.0, 1.0))
         with pytest.raises(PrecisionLoss):
             bethe_residual_w([1.0, bad], WilsonParams(1.0, 1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1/0"])
+@pytest.mark.parametrize("command", ["roots", "flow", "rate"])
+@pytest.mark.parametrize("family", ["ch", "jacobi"])
+def test_cli_non_finite_start_is_a_validation_error(family, command, bad, tmp_path, capsys):
+    # these used to run 40 step halvings into StepUnderflow (exit 3), or
+    # escape as a ZeroDivisionError for 1/0
+    params = ["--a", "1", "--b", "1"] if family == "ch" else ["--alpha", "1", "--beta", "1"]
+    argv = [command, "--family", family, "--n", "2", *params, "--init", "custom",
+            f"--x0={bad},0.5"]
+    if command == "flow":
+        argv += ["--output", str(tmp_path / "traj.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "must be finite" in err or "zero denominator" in err
+
+
+@pytest.mark.parametrize("command", ["roots", "verify", "flow", "rate"])
+def test_cli_zero_denominator_is_a_validation_error(command, tmp_path, capsys):
+    assert _run(command, "1/0", tmp_path) == EXIT_VALIDATION
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_flow_and_newton_reject_non_finite_start(bad):
+    for kind, x0 in (
+        (PotentialKind(FlowFamily.CONTINUOUS_HAHN, ContinuousHahnParams(1.0, 1.0)), [bad, 1.0]),
+        (PotentialKind(FlowFamily.JACOBI, JacobiParams(1.0, 1.0)), [bad, 0.5]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(kind, x0)
+        with pytest.raises(ValueError, match="finite"):
+            newton_solve(kind, x0)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_jacobi_domain_check_rejects_non_finite(bad):
+    # np.diff(x) <= 0 and abs(x) >= 1 are both False for NaN, so the old
+    # checks let it through
+    x = np.array([bad, 0.5])
+    assert not in_domain(x)
+    p = JacobiParams(1.0, 1.0)
+    with pytest.raises(DomainViolation):
+        electrostatic_rhs(p, x)
+    with pytest.raises(DomainViolation):
+        potential(PotentialKind(FlowFamily.JACOBI, p), x)
