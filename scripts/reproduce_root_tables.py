@@ -12,13 +12,11 @@ import numpy as np
 from orthoflow import (
     ContinuousHahnParams,
     Family,
-    FlowFamily,
     FlowSettings,
     PotentialKind,
     WilsonParams,
     full_verify,
-    kappa_continuous_hahn,
-    kappa_wilson,
+    kappa_bound,
     solve_roots,
 )
 
@@ -26,10 +24,7 @@ SETTINGS = FlowSettings(step=0.05, t_max=30.0, grad_tol=1e-13)
 
 
 def run(label, family, params, n):
-    flow_family = (
-        FlowFamily.CONTINUOUS_HAHN if family is Family.CH else FlowFamily.WILSON
-    )
-    kind = PotentialKind(flow_family, params)
+    kind = PotentialKind(family, params)
     _, eq = solve_roots(kind, n, settings=SETTINGS, newton_tol=1e-12)
     roots = np.sort(eq)
     r_n = float(np.max(np.abs(roots)))
@@ -37,11 +32,7 @@ def run(label, family, params, n):
     print(f"== {label} ==")
     for idx, root in enumerate(roots, start=1):
         print(f"  x[{idx:2d}] = {root:9.4f}")
-    if family is Family.CH:
-        kappa = kappa_continuous_hahn(params, r_n)
-    else:
-        kappa = kappa_wilson(params, n, r_n)
-    print(f"  R_n = {r_n:.4f}, kappa bound = {kappa:.4f}")
+    print(f"  R_n = {r_n:.4f}, kappa bound = {kappa_bound(kind, n, r_n):.4f}")
 
     report = full_verify(family, params, n)
     print(f"  root mismatch vs companion matrix: {report.root_mismatch:.2e}")

@@ -13,36 +13,25 @@ is given.
 """
 
 import argparse
-import csv
 import os
 
 import numpy as np
 
 from orthoflow import (
     ContinuousHahnParams,
-    FlowFamily,
+    Family,
     FlowSettings,
     PotentialKind,
     WilsonParams,
-    kappa_continuous_hahn,
+    kappa_bound,
     kappa_continuous_hahn_symmetric,
-    kappa_wilson,
     measure_decay,
     solve_roots,
 )
+from orthoflow.cli import write_logerr
 
 SETTINGS = FlowSettings(step=0.05, t_max=30.0, grad_tol=1e-13)
 WINDOW = (5.0, 25.0)
-
-
-def dump_logerr(path, traj, eq):
-    err = np.abs(traj.states - eq[None, :])
-    logerr = np.log10(np.maximum(err, 1e-300))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"log10err_{j}" for j in range(1, eq.size + 1)])
-        for t, row in zip(traj.times, logerr):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
 
 
 def report(label, traj, eq, bounds):
@@ -70,15 +59,15 @@ def main():
     args = parser.parse_args()
 
     ch_params = ContinuousHahnParams(10.0, 0.3)
-    ch_kind = PotentialKind(FlowFamily.CONTINUOUS_HAHN, ch_params)
+    ch_kind = PotentialKind(Family.CONTINUOUS_HAHN, ch_params)
     w_params = WilsonParams(17.0 / 3.0, 0.2, 1 + 1j, 1 - 1j)
-    w_kind = PotentialKind(FlowFamily.WILSON, w_params)
+    w_kind = PotentialKind(Family.WILSON, w_params)
 
     runs = {}
     traj, eq = solve_roots(ch_kind, 30, settings=SETTINGS, newton_tol=1e-12)
     r_n = float(np.max(np.abs(eq)))
     bounds = {
-        "kappa (plain)": kappa_continuous_hahn(ch_params, r_n),
+        "kappa (plain)": kappa_bound(ch_kind, 30, r_n),
         "kappa (parity-symmetric)": kappa_continuous_hahn_symmetric(ch_params, 30, r_n),
     }
     runs["ch30_zeros"] = report("CH n=30, zeros start", traj, eq, bounds)
@@ -92,14 +81,14 @@ def main():
     r_n = float(np.max(np.abs(eq)))
     runs["w15_zeros"] = report(
         "Wilson n=15, zeros start", traj, eq,
-        {"kappa": kappa_wilson(w_params, 15, r_n)},
+        {"kappa": kappa_bound(w_kind, 15, r_n)},
     )
 
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)
         for name, (traj, eq) in runs.items():
             path = os.path.join(args.outdir, f"{name}.logerr.csv")
-            dump_logerr(path, traj, eq)
+            write_logerr(path, traj, eq)
             print(f"wrote {path}")
 
 

@@ -23,7 +23,6 @@ from .flow import (
     flow_rhs,
     integrate,
     newton_solve,
-    reduced_flow_rhs,
     solve_roots,
 )
 from .jacobi_baseline import equispaced_start, jacobi_kappa, electrostatic_rhs
@@ -44,7 +43,6 @@ from .polynomials import (
     monic_continuous_hahn,
     monic_jacobi,
     monic_wilson,
-    pochhammer,
 )
 from .potentials import (
     FlowFamily,
@@ -57,6 +55,7 @@ from .potentials import (
 )
 from .rates import (
     RateReport,
+    kappa_bound,
     kappa_continuous_hahn,
     kappa_continuous_hahn_symmetric,
     kappa_wilson,

@@ -1,5 +1,9 @@
 """Command-line front end: compute roots, run flows, verify, measure rates.
 
+``--family`` takes the values of the ``params.Family`` registry, and the
+registry says which parameter flags a family requires; a flag of another
+family is rejected. Each subcommand accepts only the options it honours.
+
 Exit codes are stable contracts: 0 success, 2 parameter validation failure,
 3 numerical failure. Complex parameter literals use the form ``re+imi`` /
 ``re-imi``; rational literals like ``17/3`` are accepted and evaluated in
@@ -17,23 +21,19 @@ import sys
 import numpy as np
 
 from .errors import OrthoflowError, ParameterError
-from .flow import FlowSettings, solve_roots
-from .jacobi_baseline import equispaced_start, in_domain, jacobi_kappa
+from .flow import FlowSettings, Trajectory, solve_roots
+from .jacobi_baseline import equispaced_start, in_domain
 from .oracle import full_verify, min_eigenvalue_symmetric
-from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
-from .potentials import FlowFamily, PotentialKind, hessian
-from .rates import (
-    kappa_continuous_hahn,
-    kappa_continuous_hahn_symmetric,
-    kappa_wilson,
-    measure_decay,
-)
+from .params import Family
+from .potentials import PotentialKind, hessian
+from .rates import kappa_bound, kappa_continuous_hahn_symmetric, measure_decay
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_FAMILIES = ("ch", "wilson", "jacobi", "ch-even", "ch-odd")
+#: every parameter flag, in registry order: a, b, c, d, alpha, beta
+_PARAM_NAMES = tuple(dict.fromkeys(name for fam in Family for name in fam.param_names))
 
 _VERIFY_TOL = {
     "root_mismatch": 1e-6,
@@ -86,55 +86,42 @@ def _parse_init_list(text: str, n: int) -> np.ndarray:
     return x0
 
 
-def _require(args, names):
+def _build_kind(args) -> PotentialKind:
+    family = Family(args.family)
+    names = family.param_names
     for name in names:
         if getattr(args, name) is None:
             raise ParameterError(f"family {args.family} requires --{name}")
-
-
-def _build_kind(args) -> PotentialKind:
-    fam = args.family
-    if fam in ("ch", "ch-even", "ch-odd"):
-        _require(args, ["a", "b"])
-        params = ContinuousHahnParams(parse_number(args.a), parse_number(args.b))
-        family = {
-            "ch": FlowFamily.CONTINUOUS_HAHN,
-            "ch-even": FlowFamily.REDUCED_EVEN,
-            "ch-odd": FlowFamily.REDUCED_ODD,
-        }[fam]
-        return PotentialKind(family, params)
-    if fam == "wilson":
-        _require(args, ["a", "b", "c", "d"])
-        params = WilsonParams(*(parse_number(getattr(args, k)) for k in "abcd"))
-        return PotentialKind(FlowFamily.WILSON, params)
-    _require(args, ["alpha", "beta"])
-    params = JacobiParams(_parse_real(args.alpha), _parse_real(args.beta))
-    return PotentialKind(FlowFamily.JACOBI, params)
+    for name in _PARAM_NAMES:
+        if name not in names and getattr(args, name) is not None:
+            raise ParameterError(f"family {args.family} takes no --{name}")
+    parse = _parse_real if family is Family.JACOBI else parse_number
+    return PotentialKind(family, family.params_type(*(parse(getattr(args, k)) for k in names)))
 
 
 def _initial_condition(args, kind: PotentialKind) -> np.ndarray:
     n = args.n
-    if args.init == "custom":
+    jacobi = kind.family is Family.JACOBI
+    init = args.init or ("equispaced" if jacobi else "zeros")
+    if init == "custom":
         if args.x0 is None:
             raise ParameterError("--init custom requires --x0")
         x0 = _parse_init_list(args.x0, n)
-    elif args.init == "equispaced":
+    elif init == "equispaced":
         x0 = equispaced_start(n)
     else:  # zeros
-        if kind.family is FlowFamily.JACOBI:
+        if jacobi:
             raise ParameterError("init=zeros is invalid for the Jacobi domain (-1, 1)")
         x0 = np.zeros(n)
-    if kind.family is FlowFamily.JACOBI and not in_domain(x0):
+    if jacobi and not in_domain(x0):
         raise ParameterError(
             "Jacobi initial conditions must be strictly increasing inside (-1, 1)"
         )
     return x0
 
 
-def _settings(args, record_every: int = 1) -> FlowSettings:
-    return FlowSettings(
-        step=args.step, t_max=args.t_max, grad_tol=args.grad_tol, record_every=record_every
-    )
+def _settings(args) -> FlowSettings:
+    return FlowSettings(step=args.step, t_max=args.t_max, grad_tol=args.grad_tol)
 
 
 def _precision(args) -> int:
@@ -145,29 +132,11 @@ def _precision(args) -> int:
 
 
 def _params_dict(kind: PotentialKind) -> dict:
-    p = kind.params
-    if isinstance(p, JacobiParams):
-        return {"alpha": p.alpha, "beta": p.beta}
-    if isinstance(p, WilsonParams):
-        return {k: _cnum(getattr(p, k)) for k in "abcd"}
-    return {"a": _cnum(p.a), "b": _cnum(p.b)}
+    return {k: _cnum(getattr(kind.params, k)) for k in kind.family.param_names}
 
 
 def _cnum(z: complex):
     return z.real if z.imag == 0 else {"re": z.real, "im": z.imag}
-
-
-def _kappa_bound(kind: PotentialKind, n: int, eq: np.ndarray) -> float:
-    r_n = float(np.max(np.abs(eq))) if eq.size else 0.0
-    fam = kind.family
-    if fam is FlowFamily.CONTINUOUS_HAHN:
-        return kappa_continuous_hahn(kind.params, r_n)
-    if fam is FlowFamily.WILSON:
-        return kappa_wilson(kind.params, n, r_n)
-    if fam is FlowFamily.JACOBI:
-        return jacobi_kappa(kind.params, n)
-    n_full = 2 * n if fam is FlowFamily.REDUCED_EVEN else 2 * n + 1
-    return kappa_continuous_hahn_symmetric(kind.params, n_full, r_n)
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
@@ -175,6 +144,32 @@ def _write_rows(path: str, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_series(path: str, times, values, prefix: str) -> None:
+    """One row per sample: t, then the n values, each as %.17g (which
+    round-trips doubles); columns t, {prefix}1 .. {prefix}n."""
+    header = ["t"] + [f"{prefix}{j}" for j in range(1, values.shape[1] + 1)]
+    rows = [[f"{t:.17g}"] + [f"{v:.17g}" for v in row] for t, row in zip(times, values)]
+    _write_rows(path, header, rows)
+
+
+def write_logerr(path: str, traj: Trajectory, eq: np.ndarray) -> None:
+    """Write log10 |x_j(t) - x_j*| of every recorded state of ``traj`` as CSV
+    (columns t, log10err_1 .. log10err_n; errors floored at 1e-300)."""
+    err = np.abs(traj.states - eq[None, :])
+    _write_series(path, traj.times, np.log10(np.maximum(err, 1e-300)), "log10err_")
+
+
+def _write_json(payload: dict, path: str | None, echo: bool = True) -> None:
+    """Print the payload as indented JSON (if ``echo``) and write the same
+    text to ``path`` (if given)."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if echo:
+        sys.stdout.write(text)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def cmd_roots(args) -> int:
@@ -188,52 +183,41 @@ def cmd_roots(args) -> int:
     prec = _precision(args)
     for idx, root in enumerate(roots, start=1):
         print(f"x[{idx}] = {root:.{prec}f}")
-    if args.output:
+    if args.output and args.format == "csv":
+        _write_rows(args.output, ["index", "root"], enumerate(roots.tolist(), 1))
+    elif args.output:
+        # the bound and the Hessian have no value for the empty configuration
         payload = {
             "family": args.family,
             "n": args.n,
             "params": _params_dict(kind),
             "roots": roots.tolist(),
-            "kappa_bound": _kappa_bound(kind, args.n, eq),
-            "hessian_min_eigenvalue": min_eigenvalue_symmetric(hessian(kind, eq))
-            if args.n
-            else None,
+            "kappa_bound": None,
+            "hessian_min_eigenvalue": None,
         }
-        if args.format == "csv":
-            _write_rows(args.output, ["index", "root"], enumerate(roots.tolist(), 1))
-        else:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+        if args.n:
+            payload["kappa_bound"] = kappa_bound(kind, args.n, float(np.max(np.abs(eq))))
+            payload["hessian_min_eigenvalue"] = min_eigenvalue_symmetric(hessian(kind, eq))
+        _write_json(payload, args.output, echo=False)
     return EXIT_OK
 
 
 def cmd_flow(args) -> int:
     kind = _build_kind(args)
     x0 = _initial_condition(args, kind)
-    settings = _settings(args)
-    traj, eq = solve_roots(kind, args.n, x0=x0, settings=settings)
-    n = args.n
-    header = ["t"] + [f"x{j}" for j in range(1, n + 1)]
-    rows = [[f"{t:.17g}"] + [f"{v:.17g}" for v in state] for t, state in zip(traj.times, traj.states)]
-    _write_rows(args.output, header, rows)
-
-    err = np.abs(traj.states - eq[None, :])
-    logerr = np.log10(np.maximum(err, 1e-300))
+    traj, eq = solve_roots(kind, args.n, x0=x0, settings=_settings(args))
+    _write_series(args.output, traj.times, traj.states, "x")
     base = args.output[:-4] if args.output.endswith(".csv") else args.output
-    header = ["t"] + [f"log10err_{j}" for j in range(1, n + 1)]
-    rows = [[f"{t:.17g}"] + [f"{v:.17g}" for v in row] for t, row in zip(traj.times, logerr)]
-    _write_rows(base + ".logerr.csv", header, rows)
+    write_logerr(base + ".logerr.csv", traj, eq)
     print(f"wrote {len(traj.times)} samples to {args.output}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.family not in ("ch", "wilson"):
+    if Family(args.family) not in (Family.CH, Family.WILSON):
         raise ParameterError("verify supports families ch and wilson")
     kind = _build_kind(args)
-    family = Family.CH if args.family == "ch" else Family.WILSON
-    report = full_verify(family, kind.params, args.n)
+    report = full_verify(kind.family, kind.params, args.n)
     payload = {
         "family": args.family,
         "n": args.n,
@@ -243,11 +227,7 @@ def cmd_verify(args) -> int:
         "root_mismatch": report.root_mismatch,
         "hessian_min_eigenvalue": report.hessian_min_eigenvalue,
     }
-    print(json.dumps(payload, indent=2))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    _write_json(payload, args.output)
     for key, tol in _VERIFY_TOL.items():
         if payload[key] > tol:
             print(f"verification failed: {key} = {payload[key]:.3e} > {tol:.0e}", file=sys.stderr)
@@ -258,8 +238,7 @@ def cmd_verify(args) -> int:
 def cmd_rate(args) -> int:
     kind = _build_kind(args)
     x0 = _initial_condition(args, kind)
-    settings = _settings(args)
-    traj, eq = solve_roots(kind, args.n, x0=x0, settings=settings)
+    traj, eq = solve_roots(kind, args.n, x0=x0, settings=_settings(args))
     window = tuple(args.window) if args.window else None
     report = measure_decay(traj, eq, window)
     payload = {
@@ -271,19 +250,17 @@ def cmd_rate(args) -> int:
         "fit_window": list(report.fit_window),
         "R_n": report.R_n,
     }
-    if args.family == "ch" and x0.size and np.max(np.abs(x0 + x0[::-1])) == 0.0:
+    if kind.family is Family.CH and x0.size and np.max(np.abs(x0 + x0[::-1])) == 0.0:
         payload["kappa_bound_symmetric"] = kappa_continuous_hahn_symmetric(
             kind.params, args.n, report.R_n
         )
-    print(json.dumps(payload, indent=2))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    _write_json(payload, args.output)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand registers only the options it honours, so argparse
+    rejects the others (exit 2)."""
     parser = argparse.ArgumentParser(
         prog="orthoflow",
         description="Roots of continuous Hahn, Wilson and Jacobi polynomials "
@@ -299,19 +276,22 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in commands.items():
         sp = sub.add_parser(name)
         sp.set_defaults(func=func)
-        sp.add_argument("--family", choices=_FAMILIES, required=True)
+        sp.add_argument("--family", choices=[f.value for f in Family], required=True)
         sp.add_argument("--n", type=int, required=True)
-        for flag in ("--a", "--b", "--c", "--d", "--alpha", "--beta"):
-            sp.add_argument(flag)
-        sp.add_argument("--init", choices=("zeros", "equispaced", "custom"), default=None)
-        sp.add_argument("--x0", help="comma-separated coordinates; VALxCOUNT repeats")
-        sp.add_argument("--t-max", dest="t_max", type=float, default=30.0)
-        sp.add_argument("--step", type=float, default=0.05)
-        sp.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-10)
-        sp.add_argument("--window", nargs=2, type=float, default=None)
+        for param in _PARAM_NAMES:
+            sp.add_argument(f"--{param}")
+        if name != "verify":  # verify runs its own fixed flow
+            sp.add_argument("--init", choices=("zeros", "equispaced", "custom"), default=None)
+            sp.add_argument("--x0", help="comma-separated coordinates; VALxCOUNT repeats")
+            sp.add_argument("--t-max", dest="t_max", type=float, default=30.0)
+            sp.add_argument("--step", type=float, default=0.05)
+            sp.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-10)
+        if name == "rate":
+            sp.add_argument("--window", nargs=2, type=float, default=None)
         sp.add_argument("--output")
-        sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--precision", type=int, default=4)
+        if name == "roots":
+            sp.add_argument("--format", choices=("csv", "json"), default="json")
+            sp.add_argument("--precision", type=int, default=4)
     return parser
 
 
@@ -320,8 +300,6 @@ def main(argv=None) -> int:
     if args.n < 0:
         print("error: n must be nonnegative", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.init is None:
-        args.init = "equispaced" if args.family == "jacobi" else "zeros"
     if args.command == "flow" and not args.output:
         print("error: flow requires --output", file=sys.stderr)
         return EXIT_VALIDATION

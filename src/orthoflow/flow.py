@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DomainViolation, MaxIterations, SingularHessian, StepUnderflow
 from .jacobi_baseline import equispaced_start
-from .params import ContinuousHahnParams
-from .potentials import FlowFamily, PotentialKind, evaluator, gradient, hessian
+from .params import Family
+from .potentials import PotentialKind, evaluator, hessian
 
 _MIN_STEP = 1e-12
 #: descent-check slack for potential differences at the roundoff floor
@@ -34,7 +34,6 @@ class FlowSettings:
     t_max: float = 30.0
     grad_tol: float = 1e-12
     record_every: int = 1
-    newton_polish: bool = True
 
     def __post_init__(self):
         if not (0 < self.step < self.t_max):
@@ -184,15 +183,9 @@ def embed(parity: str, y) -> np.ndarray:
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-def reduced_flow_rhs(parity: str, p: ContinuousHahnParams, y) -> np.ndarray:
-    """Right-hand side of the parity-reduced flow (negated gradient)."""
-    family = {"even": FlowFamily.REDUCED_EVEN, "odd": FlowFamily.REDUCED_ODD}[parity]
-    return -gradient(PotentialKind(family, p), y)
-
-
 def default_start(kind: PotentialKind, n: int) -> np.ndarray:
     """All-zeros start, except Jacobi which needs an ordered interior grid."""
-    if kind.family is FlowFamily.JACOBI:
+    if kind.family is Family.JACOBI:
         return equispaced_start(n)
     return np.zeros(n)
 
@@ -204,7 +197,7 @@ def solve_roots(
     settings: FlowSettings | None = None,
     newton_tol: float = 1e-10,
 ) -> tuple[Trajectory, np.ndarray]:
-    """Integrate the flow and (optionally) Newton-polish the endpoint.
+    """Integrate the flow and Newton-polish the endpoint.
 
     Returns the trajectory and the equilibrium configuration.
     """
@@ -213,6 +206,6 @@ def solve_roots(
         x0 = default_start(kind, n)
     traj = integrate(kind, x0, settings)
     eq = traj.states[-1]
-    if settings.newton_polish and n > 0:
+    if n > 0:
         eq = newton_solve(kind, eq, tol=newton_tol)
     return traj, eq

@@ -27,7 +27,7 @@ from .polynomials import (
     monic_continuous_hahn,
     monic_wilson,
 )
-from .potentials import FlowFamily, hessian
+from .potentials import hessian
 
 _IMAG_ROOT_TOL = 1e-6
 _NEWTON_MAX_STEPS = 50
@@ -109,11 +109,8 @@ def companion_roots(poly: MonicPoly) -> np.ndarray:
     return roots
 
 
-def min_eigenvalue_symmetric(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> float:
-    """Smallest eigenvalue of a symmetric matrix (LAPACK ``eigvalsh``).
-
-    ``tol`` and ``max_sweeps`` are accepted for compatibility and unused.
-    """
+def min_eigenvalue_symmetric(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix (LAPACK ``eigvalsh``)."""
     a = np.array(a, dtype=float)
     if a.shape[0] == 0:
         raise ValueError("empty matrix")
@@ -230,13 +227,12 @@ def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
 def full_verify(family: Family, params, n: int) -> VerificationReport:
     """Run the flow, polish, and cross-check against every oracle."""
     if family is Family.CH:
-        kind = PotentialKind(FlowFamily.CONTINUOUS_HAHN, params)
-        poly = monic_continuous_hahn(n, params)
+        poly, bethe_residual = monic_continuous_hahn(n, params), bethe_residual_ch
     elif family is Family.WILSON:
-        kind = PotentialKind(FlowFamily.WILSON, params)
-        poly = monic_wilson(n, params)
+        poly, bethe_residual = monic_wilson(n, params), bethe_residual_w
     else:
         raise ValueError(f"full_verify supports CH and WILSON, got {family}")
+    kind = PotentialKind(family, params)
 
     settings = FlowSettings(step=0.1, t_max=10.0, grad_tol=1e-10, record_every=5)
     _, eq = solve_roots(kind, n, settings=settings, newton_tol=1e-12)
@@ -244,10 +240,7 @@ def full_verify(family: Family, params, n: int) -> VerificationReport:
     comp = companion_roots(poly)
     mismatch = float(np.max(np.abs(flow_roots - comp)))
 
-    if family is Family.CH:
-        bethe = bethe_residual_ch(flow_roots, params)
-    else:
-        bethe = bethe_residual_w(flow_roots, params)
+    bethe = bethe_residual(flow_roots, params)
     diff_res = diff_eq_residual(poly, flow_roots, family, params)
     min_eig = min_eigenvalue_symmetric(hessian(kind, eq))
     return VerificationReport(bethe, diff_res, mismatch, min_eig)

@@ -1,4 +1,10 @@
-"""Validated parameter records for the three polynomial families.
+"""The family registry and the validated parameter records.
+
+``Family`` is the one registry of the five flows: continuous Hahn, Wilson,
+Jacobi and the two parity-reduced continuous Hahn systems. Each member
+names its parameter record (``params_type``) and that record's parameter
+names (``param_names``); the potentials, the kappa bound, the oracles and
+the command line all dispatch on it.
 
 Complex parameters are plain Python ``complex``; non-real values must come
 in conjugate pairs so that every downstream quantity (coefficients,
@@ -14,14 +20,6 @@ from enum import Enum
 from .errors import ParameterError
 
 _CONJ_RTOL = 1e-12
-
-
-class Family(Enum):
-    """Polynomial family tags used by the oracle and the CLI."""
-
-    CH = "ch"
-    WILSON = "wilson"
-    JACOBI = "jacobi"
 
 
 def _require_finite(**values) -> None:
@@ -116,3 +114,27 @@ class JacobiParams:
             raise ParameterError(
                 f"alpha and beta must exceed -1, got ({self.alpha}, {self.beta})"
             )
+
+
+class Family(Enum):
+    """The five flow families: the command-line name, the parameter record
+    (the reduced systems take continuous Hahn parameters) and its
+    parameter names in constructor order.
+
+    ``CH`` is an alias of ``CONTINUOUS_HAHN``, so ``list(Family)`` has five
+    members.
+    """
+
+    CONTINUOUS_HAHN = ("ch", ContinuousHahnParams, ("a", "b"))
+    WILSON = ("wilson", WilsonParams, ("a", "b", "c", "d"))
+    JACOBI = ("jacobi", JacobiParams, ("alpha", "beta"))
+    REDUCED_EVEN = ("ch-even", ContinuousHahnParams, ("a", "b"))
+    REDUCED_ODD = ("ch-odd", ContinuousHahnParams, ("a", "b"))
+    CH = CONTINUOUS_HAHN
+
+    def __new__(cls, value: str, params_type: type, param_names: tuple[str, ...]):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.params_type = params_type
+        member.param_names = param_names
+        return member

@@ -63,14 +63,6 @@ class MonicPoly:
         return self.coeffs.size - 1
 
 
-def pochhammer(z: complex, k: int) -> complex:
-    """Rising factorial z (z+1) ... (z+k-1); equals 1 for k = 0."""
-    out = 1.0 + 0.0j
-    for j in range(k):
-        out *= z + j
-    return out
-
-
 def _dyadic(values) -> tuple[list[int], int]:
     """Finite doubles as integers over one power of two.
 
@@ -276,9 +268,3 @@ def eval_poly(poly: MonicPoly, x: complex) -> complex:
     for c in poly.coeffs[::-1]:
         out = out * z + c
     return out
-
-
-def poly_derivative(poly: MonicPoly) -> np.ndarray:
-    """Ascending coefficients of d/du of the polynomial in its own variable."""
-    c = poly.coeffs
-    return c[1:] * np.arange(1, c.size)

@@ -1,4 +1,7 @@
-"""Morse potentials, gradients and Hessians for the five flow kinds.
+"""Morse potentials, gradients and Hessians for the five flow families.
+
+A ``PotentialKind`` pairs a member of the ``params.Family`` registry with a
+parameter record of that member's ``params_type``.
 
 Values, gradients and flow right-hand sides come from one evaluator per
 (kind, n), built by ``evaluator``. It precomputes what does not depend on
@@ -18,41 +21,27 @@ real the same formulas run in real arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import BranchCrossing
 from .jacobi_baseline import differences, electrostatic_drift
-from .params import ContinuousHahnParams, JacobiParams, WilsonParams
+from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 
 
-class FlowFamily(Enum):
-    CONTINUOUS_HAHN = "ch"
-    WILSON = "wilson"
-    JACOBI = "jacobi"
-    REDUCED_EVEN = "ch-even"
-    REDUCED_ODD = "ch-odd"
-
-
-_PARAM_TYPES = {
-    FlowFamily.CONTINUOUS_HAHN: ContinuousHahnParams,
-    FlowFamily.WILSON: WilsonParams,
-    FlowFamily.JACOBI: JacobiParams,
-    FlowFamily.REDUCED_EVEN: ContinuousHahnParams,
-    FlowFamily.REDUCED_ODD: ContinuousHahnParams,
-}
+#: the registry's former name, kept for existing imports
+FlowFamily = Family
 
 
 @dataclass(frozen=True)
 class PotentialKind:
     """A potential family together with its parameter record."""
 
-    family: FlowFamily
+    family: Family
     params: ContinuousHahnParams | WilsonParams | JacobiParams
 
     def __post_init__(self):
-        expected = _PARAM_TYPES[self.family]
+        expected = self.family.params_type
         if not isinstance(self.params, expected):
             raise TypeError(
                 f"{self.family.value} expects {expected.__name__}, "
@@ -88,10 +77,8 @@ def _param_lorentz_sum(x, params):
     return out
 
 
-def _kind_params(kind: PotentialKind):
-    if kind.family is FlowFamily.WILSON:
-        return kind.params.values
-    return (kind.params.a, kind.params.b)
+def _kind_params(kind: PotentialKind) -> tuple:
+    return tuple(getattr(kind.params, k) for k in kind.family.param_names)
 
 
 class _Evaluator:
@@ -124,10 +111,10 @@ class _Evaluator:
 
 #: the linear term sum_j c_j x_j of each Morse potential, c as a function of (j, n)
 _LINEAR = {
-    FlowFamily.CONTINUOUS_HAHN: lambda j, n: 0.5 * np.pi * (n + 1 - 2 * j),
-    FlowFamily.WILSON: lambda j, n: -np.pi * j,
-    FlowFamily.REDUCED_EVEN: lambda j, n: -np.pi * (j - 0.5),
-    FlowFamily.REDUCED_ODD: lambda j, n: -np.pi * j,
+    Family.CONTINUOUS_HAHN: lambda j, n: 0.5 * np.pi * (n + 1 - 2 * j),
+    Family.WILSON: lambda j, n: -np.pi * j,
+    Family.REDUCED_EVEN: lambda j, n: -np.pi * (j - 0.5),
+    Family.REDUCED_ODD: lambda j, n: -np.pi * j,
 }
 
 
@@ -146,7 +133,7 @@ class _MorseEvaluator(_Evaluator):
     def __init__(self, kind: PotentialKind, n: int):
         fam = kind.family
         params = _kind_params(kind)
-        if fam is FlowFamily.REDUCED_ODD:
+        if fam is Family.REDUCED_ODD:
             params += (1.0,)
         _check_branch(*params)
         a = np.array(params, dtype=complex)
@@ -156,11 +143,11 @@ class _MorseEvaluator(_Evaluator):
         # pairs[j, 0, k] = x_j - x_k and, except for continuous Hahn,
         # pairs[j, 1, k] = x_j + x_k, in one array so that one arctan and
         # one sum serve both pair terms
-        signs = [-1.0] if fam is FlowFamily.CONTINUOUS_HAHN else [-1.0, 1.0]
+        signs = [-1.0] if fam is Family.CONTINUOUS_HAHN else [-1.0, 1.0]
         self._signs = np.array(signs)[:, None]
         # the full Wilson flow excludes the k = j terms F(2 x_j): zero them
         self._self_pairs = (
-            np.arange(n) * (2 * n + 1) + n if fam is FlowFamily.WILSON else None
+            np.arange(n) * (2 * n + 1) + n if fam is Family.WILSON else None
         )
 
     def _prepare(self, x):
@@ -224,7 +211,7 @@ class _JacobiEvaluator(_Evaluator):
 def evaluator(kind: PotentialKind, n: int) -> _Evaluator:
     """Evaluator of ``kind`` at degree n; raises ``BranchCrossing`` for a
     parameter on the arctan branch cut."""
-    if kind.family is FlowFamily.JACOBI:
+    if kind.family is Family.JACOBI:
         return _JacobiEvaluator(kind.params, n)
     return _MorseEvaluator(kind, n)
 
@@ -249,7 +236,7 @@ def hessian(kind: PotentialKind, x) -> np.ndarray:
         return np.zeros((0, 0))
     fam = kind.family
 
-    if fam is FlowFamily.JACOBI:
+    if fam is Family.JACOBI:
         p = kind.params
         d = differences(x)
         cd = 1.0 / (d * d)
@@ -263,7 +250,7 @@ def hessian(kind: PotentialKind, x) -> np.ndarray:
     d = x[:, None] - x[None, :]
     cd = 1.0 / (1.0 + d * d)
 
-    if fam is FlowFamily.CONTINUOUS_HAHN:
+    if fam is Family.CONTINUOUS_HAHN:
         h = -cd
         diag = _param_lorentz_sum(x, params) + (np.sum(cd, axis=1) - 1.0)
         h[np.diag_indices(n)] = diag
@@ -274,9 +261,9 @@ def hessian(kind: PotentialKind, x) -> np.ndarray:
     h = cs - cd
     diag = _param_lorentz_sum(x, params) + (np.sum(cd, axis=1) - 1.0)
     cs_self = 1.0 / (1.0 + 4.0 * x * x)
-    if fam is FlowFamily.WILSON:
+    if fam is Family.WILSON:
         diag += np.sum(cs, axis=1) - cs_self
-    elif fam is FlowFamily.REDUCED_EVEN:
+    elif fam is Family.REDUCED_EVEN:
         diag += np.sum(cs, axis=1) + cs_self
     else:
         diag += np.sum(cs, axis=1) + cs_self + 1.0 / (1.0 + x * x)

@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import InsufficientSamples
 from .jacobi_baseline import jacobi_kappa
-from .params import ContinuousHahnParams, WilsonParams
-from .potentials import FlowFamily
+from .params import ContinuousHahnParams, Family, WilsonParams
+from .potentials import PotentialKind
 from .flow import Trajectory
 
 #: errors below this floor are numerical noise and excluded from fits
@@ -60,16 +60,19 @@ def kappa_continuous_hahn_symmetric(p: ContinuousHahnParams, n: int, r_n: float)
     return crowd + _param_term(p.a, r_n) + _param_term(p.b, r_n) + parity
 
 
-def _kappa_for_trajectory(traj: Trajectory, n: int, r_n: float) -> float:
-    fam = traj.kind.family
-    p = traj.kind.params
-    if fam is FlowFamily.CONTINUOUS_HAHN:
+def kappa_bound(kind: PotentialKind, n: int, r_n: float) -> float:
+    """Decay-rate bound of the flow of ``kind`` at degree n, whose
+    equilibrium has R_n = max_j |x_j*| (the reduced systems use the
+    parity-symmetric bound of the full degree-2n or 2n+1 flow)."""
+    fam = kind.family
+    p = kind.params
+    if fam is Family.CONTINUOUS_HAHN:
         return kappa_continuous_hahn(p, r_n)
-    if fam is FlowFamily.WILSON:
+    if fam is Family.WILSON:
         return kappa_wilson(p, n, r_n)
-    if fam is FlowFamily.JACOBI:
+    if fam is Family.JACOBI:
         return jacobi_kappa(p, n)
-    n_full = 2 * n if fam is FlowFamily.REDUCED_EVEN else 2 * n + 1
+    n_full = 2 * n if fam is Family.REDUCED_EVEN else 2 * n + 1
     return kappa_continuous_hahn_symmetric(p, n_full, r_n)
 
 
@@ -86,8 +89,10 @@ def measure_decay(
     t = traj.times
     if eq.size != traj.states.shape[1]:
         raise ValueError("equilibrium length does not match trajectory states")
+    if eq.size == 0:
+        raise ValueError("no coordinates to fit: n must be at least 1")
     if window is None:
-        window = (t[-1] / 6.0, 5.0 * t[-1] / 6.0)
+        window = (float(t[-1]) / 6.0, 5.0 * float(t[-1]) / 6.0)
     w0, w1 = window
     if not (t[0] <= w0 < w1 <= t[-1]):
         raise ValueError(f"window {window} outside trajectory time range")
@@ -104,6 +109,6 @@ def measure_decay(
         slope, _ = np.polyfit(t[usable], np.log(err[usable, jdx]), 1)
         slopes[jdx] = -slope
 
-    r_n = float(np.max(np.abs(eq))) if eq.size else 0.0
-    kappa = _kappa_for_trajectory(traj, eq.size, r_n)
+    r_n = float(np.max(np.abs(eq)))
+    kappa = kappa_bound(traj.kind, eq.size, r_n)
     return RateReport(kappa, slopes, (float(w0), float(w1)), r_n)

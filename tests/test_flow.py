@@ -13,7 +13,6 @@ from orthoflow import (
     integrate,
     newton_solve,
     potential,
-    reduced_flow_rhs,
     solve_roots,
 )
 
@@ -127,8 +126,11 @@ def test_embed_empty():
         embed("sideways", [1.0])
 
 
+REDUCED = {"even": FlowFamily.REDUCED_EVEN, "odd": FlowFamily.REDUCED_ODD}
+
+
 def test_reduced_rhs_empty():
-    assert reduced_flow_rhs("odd", ContinuousHahnParams(1, 1), []).size == 0
+    assert flow_rhs(PotentialKind(REDUCED["odd"], ContinuousHahnParams(1, 1)), []).size == 0
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -139,14 +141,14 @@ def test_reduced_rhs_matches_full_embedding(parity):
     p = random_ch_params(rng)
     y = np.sort(rng.uniform(0.2, 6.0, 5))
     full = flow_rhs(CH(p), embed(parity, y))
-    reduced = reduced_flow_rhs(parity, p, y)
+    reduced = flow_rhs(PotentialKind(REDUCED[parity], p), y)
     assert np.max(np.abs(full[-5:] - reduced)) < 1e-12
 
 
 @pytest.mark.parametrize("parity,family", [
     ("even", FlowFamily.REDUCED_EVEN),
     ("odd", FlowFamily.REDUCED_ODD),
-])
+], ids=["even-FlowFamily.REDUCED_EVEN", "odd-FlowFamily.REDUCED_ODD"])
 def test_reduced_and_full_trajectories_agree(parity, family):
     p = ContinuousHahnParams(2.0, 0.8)
     s = FlowSettings(step=0.05, t_max=6.0)

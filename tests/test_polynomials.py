@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from orthoflow import (
     ComplexRoots,
@@ -16,32 +15,10 @@ from orthoflow import (
     monic_continuous_hahn,
     monic_jacobi,
     monic_wilson,
-    pochhammer,
 )
 from orthoflow.polynomials import _check_denominators
 
 from conftest import random_ch_params
-
-
-def test_pochhammer_empty_product():
-    assert pochhammer(3.7 + 2j, 0) == 1
-
-
-def test_pochhammer_integers():
-    assert pochhammer(2, 3) == 24
-
-
-def test_pochhammer_complex():
-    assert pochhammer(1 + 1j, 2) == pytest.approx((1 + 1j) * (2 + 1j))
-    assert pochhammer(1 + 1j, 2) == pytest.approx(1 + 3j)
-
-
-@given(
-    st.complex_numbers(max_magnitude=50, allow_nan=False, allow_infinity=False),
-    st.integers(0, 20),
-)
-def test_pochhammer_recursion(z, k):
-    assert pochhammer(z, k + 1) == pytest.approx(pochhammer(z, k) * (z + k), rel=1e-12)
 
 
 def test_continuous_hahn_degree_zero():

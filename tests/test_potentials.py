@@ -141,7 +141,8 @@ def test_ch_hessian_n1_unit_parameters():
     assert hessian(kind, [0.0]) == pytest.approx(np.array([[2.0]]))
 
 
-@pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.WILSON])
+@pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.WILSON],
+                         ids=["FlowFamily.CONTINUOUS_HAHN", "FlowFamily.WILSON"])
 def test_hessian_positive_definite(family):
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -165,7 +166,8 @@ def test_ch_parity_invariance():
         assert gr == pytest.approx(-g[::-1], rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.WILSON])
+@pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.WILSON],
+                         ids=["FlowFamily.CONTINUOUS_HAHN", "FlowFamily.WILSON"])
 def test_radial_growth(family):
     rng = np.random.default_rng(21)
     if family is FlowFamily.CONTINUOUS_HAHN:
