@@ -4,6 +4,11 @@
 registry says which parameter flags a family requires; a flag of another
 family is rejected. Each subcommand accepts only the options it honours.
 
+``roots`` and ``verify`` need only the equilibrium and find it by damped
+Newton on the strictly convex potential, straight from the start; ``flow``
+and ``rate`` integrate the flow, because the trajectory is their output.
+``--grad-tol`` is the gradient max-norm at which the solver stops.
+
 Exit codes are stable contracts: 0 success, 2 parameter validation failure,
 3 numerical failure. Complex parameter literals use the form ``re+imi`` /
 ``re-imi``; rational literals like ``17/3`` are accepted and evaluated in
@@ -21,7 +26,7 @@ import sys
 import numpy as np
 
 from .errors import OrthoflowError, ParameterError
-from .flow import FlowSettings, Trajectory, solve_roots
+from .flow import FlowSettings, Trajectory, newton_solve, solve_roots
 from .jacobi_baseline import equispaced_start, in_domain
 from .oracle import full_verify, min_eigenvalue_symmetric
 from .params import Family
@@ -174,11 +179,7 @@ def _write_json(payload: dict, path: str | None, echo: bool = True) -> None:
 
 def cmd_roots(args) -> int:
     kind = _build_kind(args)
-    x0 = _initial_condition(args, kind)
-    settings = FlowSettings(
-        step=args.step, t_max=min(args.t_max, 10.0), grad_tol=1e-10, record_every=10
-    )
-    _, eq = solve_roots(kind, args.n, x0=x0, settings=settings, newton_tol=args.grad_tol)
+    eq = newton_solve(kind, _initial_condition(args, kind), tol=args.grad_tol)
     roots = np.sort(eq)
     prec = _precision(args)
     for idx, root in enumerate(roots, start=1):
@@ -280,11 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, required=True)
         for param in _PARAM_NAMES:
             sp.add_argument(f"--{param}")
-        if name != "verify":  # verify runs its own fixed flow
+        if name != "verify":  # verify solves from its own fixed start
             sp.add_argument("--init", choices=("zeros", "equispaced", "custom"), default=None)
             sp.add_argument("--x0", help="comma-separated coordinates; VALxCOUNT repeats")
-            sp.add_argument("--t-max", dest="t_max", type=float, default=30.0)
-            sp.add_argument("--step", type=float, default=0.05)
+            if name != "roots":  # roots solves by Newton and records no trajectory
+                sp.add_argument("--t-max", dest="t_max", type=float, default=30.0)
+                sp.add_argument("--step", type=float, default=0.05)
             sp.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-10)
         if name == "rate":
             sp.add_argument("--window", nargs=2, type=float, default=None)

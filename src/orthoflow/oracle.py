@@ -1,13 +1,14 @@
 """Independent verification of computed roots.
 
 Companion-matrix eigenvalues, Bethe-type product identities and the
-second-order difference equation at the nodes all check the flow output
-without touching the flow code path. The difference-equation residual
-evaluates the polynomial in factored form (products over the supplied
-roots); Horner on the expanded coefficients loses several digits at
-degree ~30 and large |x|. The companion eigenvalues are Newton-polished
-with exact integer evaluation of the polynomial at each double iterate, and
-a residual whose products overflow raises instead of passing.
+second-order difference equation at the nodes all check a computed
+equilibrium without touching the code that computed it. The
+difference-equation residual evaluates the polynomial in factored form
+(products over the supplied roots); Horner on the expanded coefficients
+loses several digits at degree ~30 and large |x|. The companion
+eigenvalues are Newton-polished with exact integer evaluation of the
+polynomial at each double iterate, and a residual whose products overflow
+raises instead of passing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComplexRoots, PrecisionLoss, SingularFactor
-from .flow import FlowSettings, PotentialKind, solve_roots
+from .flow import PotentialKind, default_start, newton_solve
 from .params import ContinuousHahnParams, Family, WilsonParams
 from .polynomials import (
     MonicPoly,
@@ -32,6 +33,7 @@ from .potentials import hessian
 _IMAG_ROOT_TOL = 1e-6
 _NEWTON_MAX_STEPS = 50
 _SINGULAR_TOL = 1e-12
+_BETHE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,6 @@ def min_eigenvalue_symmetric(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def _checked_ratio(num: complex, den: complex) -> complex:
-    if abs(den) < _SINGULAR_TOL:
-        raise SingularFactor(f"denominator factor {den} below {_SINGULAR_TOL}")
-    return num / den
-
-
 def _finite(value, what: str):
     """``value``, or PrecisionLoss if it is not finite: max(0.0, nan) is 0.0,
     so an overflowed term would otherwise drop out of a residual silently."""
@@ -131,39 +127,50 @@ def _finite(value, what: str):
     return value
 
 
+def _bethe_lhs(x, values, signs) -> np.ndarray:
+    """Left sides of the Bethe product identities, one per root x_j:
+
+        prod_e (i e + x_j) / (i e - x_j)
+          * prod_{k != j} prod_s (i + x_j + s x_k) / (i - x_j - s x_k)
+
+    over the parameter values e and the signs s. The factors of a block of
+    rows form one array of ratios, multiplied out along each row; blocks of
+    _BETHE_ROWS rows keep the temporaries O(n), not O(n^2).
+    """
+    x = np.asarray(x, dtype=float)
+    e = 1j * np.asarray(values, dtype=complex)
+    lhs = np.empty(x.size, dtype=complex)
+    for lo in range(0, x.size, _BETHE_ROWS):
+        xj = x[lo:lo + _BETHE_ROWS, None]
+        diagonal = (np.arange(xj.size), lo + np.arange(xj.size))
+        nums, dens = [e + xj], [e - xj]
+        for s in signs:
+            u = xj + s * x[None, :]
+            u[diagonal] = 0.0  # the k = j factor becomes i / i = 1
+            nums.append(1j + u)
+            dens.append(1j - u)
+        den = np.concatenate(dens, axis=1)
+        small = np.abs(den) < _SINGULAR_TOL  # a NaN compares False: not small
+        if np.any(small):
+            raise SingularFactor(f"denominator factor {den[small][0]} below {_SINGULAR_TOL}")
+        lhs[lo:lo + _BETHE_ROWS] = np.prod(np.concatenate(nums, axis=1) / den, axis=1)
+    return lhs
+
+
+def _bethe_residual(lhs: np.ndarray, target: float) -> float:
+    worst = np.max(np.abs(lhs - target), initial=0.0)  # a NaN propagates
+    return _finite(float(worst), "Bethe residual")
+
+
 def bethe_residual_ch(x, p: ContinuousHahnParams) -> float:
     """Max deviation of the continuous Hahn product identity from (-1)^(n+1)."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    target = (-1.0) ** (n + 1)
-    worst = 0.0
-    for j in range(n):
-        xj = x[j]
-        lhs = _checked_ratio(1j * p.a + xj, 1j * p.a - xj)
-        lhs *= _checked_ratio(1j * p.b + xj, 1j * p.b - xj)
-        for k in range(n):
-            if k != j:
-                lhs *= _checked_ratio(1j + xj - x[k], 1j - xj + x[k])
-        worst = max(worst, _finite(abs(lhs - target), "Bethe residual"))
-    return worst
+    return _bethe_residual(_bethe_lhs(x, (p.a, p.b), (-1.0,)), (-1.0) ** (x.size + 1))
 
 
 def bethe_residual_w(x, p: WilsonParams) -> float:
     """Max deviation of the Wilson product identity from 1."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    worst = 0.0
-    for j in range(n):
-        xj = x[j]
-        lhs = 1.0 + 0.0j
-        for e in p.values:
-            lhs *= _checked_ratio(1j * e + xj, 1j * e - xj)
-        for k in range(n):
-            if k != j:
-                lhs *= _checked_ratio(1j + xj + x[k], 1j - xj - x[k])
-                lhs *= _checked_ratio(1j + xj - x[k], 1j - xj + x[k])
-        worst = max(worst, _finite(abs(lhs - 1.0), "Bethe residual"))
-    return worst
+    return _bethe_residual(_bethe_lhs(x, p.values, (1.0, -1.0)), 1.0)
 
 
 def _factored_eval(roots: np.ndarray, z: complex, squared: bool) -> complex:
@@ -225,7 +232,8 @@ def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
 
 
 def full_verify(family: Family, params, n: int) -> VerificationReport:
-    """Run the flow, polish, and cross-check against every oracle."""
+    """Solve for the equilibrium by damped Newton from the default start and
+    cross-check it against every oracle."""
     if family is Family.CH:
         poly, bethe_residual = monic_continuous_hahn(n, params), bethe_residual_ch
     elif family is Family.WILSON:
@@ -233,14 +241,12 @@ def full_verify(family: Family, params, n: int) -> VerificationReport:
     else:
         raise ValueError(f"full_verify supports CH and WILSON, got {family}")
     kind = PotentialKind(family, params)
-
-    settings = FlowSettings(step=0.1, t_max=10.0, grad_tol=1e-10, record_every=5)
-    _, eq = solve_roots(kind, n, settings=settings, newton_tol=1e-12)
-    flow_roots = np.sort(eq)
+    eq = newton_solve(kind, default_start(kind, n), tol=1e-12)
+    roots = np.sort(eq)
     comp = companion_roots(poly)
-    mismatch = float(np.max(np.abs(flow_roots - comp)))
+    mismatch = float(np.max(np.abs(roots - comp)))
 
-    bethe = bethe_residual(flow_roots, params)
-    diff_res = diff_eq_residual(poly, flow_roots, family, params)
+    bethe = bethe_residual(roots, params)
+    diff_res = diff_eq_residual(poly, roots, family, params)
     min_eig = min_eigenvalue_symmetric(hessian(kind, eq))
     return VerificationReport(bethe, diff_res, mismatch, min_eig)

@@ -82,8 +82,9 @@ def measure_decay(
     """Fit per-coordinate slopes of log|x_j(t) - x_j*| inside the window.
 
     Slopes are negated so positive values mean decay. Samples with error at
-    the numerical noise floor are excluded; fewer than 5 usable samples for
-    any coordinate raises InsufficientSamples.
+    the numerical noise floor are excluded; a trajectory of one sample (the
+    flow recorded no step) or fewer than 5 usable samples for any
+    coordinate raises InsufficientSamples.
     """
     eq = np.asarray(equilibrium, dtype=float)
     t = traj.times
@@ -91,6 +92,10 @@ def measure_decay(
         raise ValueError("equilibrium length does not match trajectory states")
     if eq.size == 0:
         raise ValueError("no coordinates to fit: n must be at least 1")
+    if t.size == 1:
+        raise InsufficientSamples(
+            "the flow recorded no step (its start already meets grad_tol): no decay to fit"
+        )
     if window is None:
         window = (float(t[-1]) / 6.0, 5.0 * float(t[-1]) / 6.0)
     w0, w1 = window

@@ -13,7 +13,7 @@ from orthoflow import (
     WilsonParams,
     kappa_bound,
 )
-from orthoflow.cli import EXIT_OK, EXIT_VALIDATION, main
+from orthoflow.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 #: sample parameters of each record: values and the same values as CLI literals
 SAMPLES = {
@@ -81,6 +81,8 @@ CH = ["--family", "ch", "--n", "2", "--a", "1", "--b", "1"]
     ("verify", ["--step", "0.1"]),
     ("verify", ["--t-max", "5"]),
     ("verify", ["--grad-tol", "1e-8"]),
+    ("roots", ["--step", "0.1"]),
+    ("roots", ["--t-max", "5"]),
 ])
 def test_unhonoured_flag_is_rejected(command, flags, tmp_path, capsys):
     argv = [command, *CH, *flags, "--output", str(tmp_path / "out.csv")]
@@ -111,11 +113,19 @@ def test_foreign_family_parameter_is_rejected(command, family, flag, tmp_path, c
 
 @pytest.mark.parametrize("n,message", [
     (0, "n must be at least 1"),
-    # a = b: the flow starts at its equilibrium 0 and records no step
-    (1, "window (0.0, 0.0) outside trajectory time range"),
 ])
 def test_rate_without_samples_is_a_plain_validation_error(n, message, capsys):
     assert main(["rate", "--family", "ch", "--n", str(n), "--a", "1", "--b", "1"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert message in err
     assert "np.float64" not in err
+
+
+@pytest.mark.parametrize("window", [[], ["--window", "0", "1"]], ids=["default", "window"])
+def test_rate_whose_flow_records_no_step_is_a_numerical_failure(window, capsys):
+    # a = b: the flow starts at its equilibrium 0 and records no step
+    argv = ["rate", "--family", "ch", "--n", "1", "--a", "1", "--b", "1", *window]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "InsufficientSamples: the flow recorded no step" in err
+    assert "Traceback" not in err
