@@ -1,12 +1,16 @@
 """Compare measured decay rates against the theoretical bounds.
 
-Three experiments on the degree-30 continuous Hahn configuration:
+Four experiments, three of them on the degree-30 continuous Hahn configuration:
 
 1. all-zeros (parity-symmetric) start: every fitted slope should clear
    both the plain bound and the improved parity-symmetric bound;
 2. broken-symmetry start (all coordinates at 3): some coordinates
    overshoot their limits and decay slower than the improved bound;
-3. the degree-15 Wilson configuration from zeros.
+3. the degree-15 Wilson configuration from zeros;
+4. the odd parity-reduced system of the degree-29 configuration (m = 14)
+   beside the Wilson flow with (a, b, 1/2, 1), which it is: the two kappa
+   bounds are equal, as the paper's comparison of the reduced flows with
+   the Wilson flows says.
 
 Writes log10-error trajectories as CSV next to this script when --outdir
 is given.
@@ -83,6 +87,22 @@ def main():
         "Wilson n=15, zeros start", traj, eq,
         {"kappa": kappa_bound(w_kind, 15, r_n)},
     )
+
+    odd_kind = PotentialKind(Family.REDUCED_ODD, ch_params)
+    half_kind = PotentialKind(Family.WILSON, WilsonParams(10.0, 0.3, 0.5, 1.0))
+    traj, eq = solve_roots(odd_kind, 14, settings=SETTINGS, newton_tol=1e-12)
+    w_traj, w_eq = solve_roots(half_kind, 14, settings=SETTINGS, newton_tol=1e-12)
+    kappas = {
+        "kappa (ch-odd)": kappa_bound(odd_kind, 14, float(np.max(np.abs(eq)))),
+        "kappa (Wilson a, b, 1/2, 1)": kappa_bound(half_kind, 14, float(np.max(np.abs(w_eq)))),
+    }
+    runs["ch29_odd"] = report("CH n=29, odd parity-reduced system (m=14)", traj, eq, kappas)
+    report("Wilson (10, 0.3, 1/2, 1) m=14, zeros start", w_traj, w_eq, kappas)
+    k_odd, k_wilson = kappas.values()
+    print(f"  max |ch-odd - Wilson equilibrium| = {np.max(np.abs(eq - w_eq)):.1e}")
+    print()
+    if not np.isclose(k_odd, k_wilson, rtol=1e-12, atol=0.0):
+        raise SystemExit(f"the ch-odd and Wilson kappa bounds differ: {k_odd} != {k_wilson}")
 
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)

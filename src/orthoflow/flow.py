@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainViolation, MaxIterations, SingularHessian, StepUnderflow
 from .jacobi_baseline import equispaced_start
 from .params import Family
-from .potentials import PotentialKind, evaluator, hessian
+from .potentials import PotentialKind, evaluator
 
 _MIN_STEP = 1e-12
 #: descent-check slack for potential differences at the roundoff floor
@@ -148,7 +148,7 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
     for _ in range(max_iter):
         if np.max(np.abs(g)) < tol:
             return x
-        h = hessian(kind, x)
+        h = ev.hessian(x)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError as exc:

@@ -233,14 +233,19 @@ def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
 
 def full_verify(family: Family, params, n: int) -> VerificationReport:
     """Solve for the equilibrium by damped Newton from the default start and
-    cross-check it against every oracle."""
+    cross-check it against every oracle.
+
+    A parity-reduced system is checked as the Wilson system it is, at
+    ``family.wilson_params(params)``; at d = 0 the Bethe factor of d is -1.
+    """
+    if family is Family.JACOBI:
+        raise ValueError("verify supports the families ch, wilson, ch-even and ch-odd")
+    kind = PotentialKind(family, params)
     if family is Family.CH:
         poly, bethe_residual = monic_continuous_hahn(n, params), bethe_residual_ch
-    elif family is Family.WILSON:
-        poly, bethe_residual = monic_wilson(n, params), bethe_residual_w
     else:
-        raise ValueError(f"full_verify supports CH and WILSON, got {family}")
-    kind = PotentialKind(family, params)
+        family, params = Family.WILSON, family.wilson_params(params)
+        poly, bethe_residual = monic_wilson(n, params), bethe_residual_w
     eq = newton_solve(kind, default_start(kind, n), tol=1e-12)
     roots = np.sort(eq)
     comp = companion_roots(poly)

@@ -1,10 +1,10 @@
 """The family registry and the validated parameter records.
 
 ``Family`` is the one registry of the five flows: continuous Hahn, Wilson,
-Jacobi and the two parity-reduced continuous Hahn systems. Each member
-names its parameter record (``params_type``) and that record's parameter
-names (``param_names``); the potentials, the kappa bound, the oracles and
-the command line all dispatch on it.
+Jacobi and the two parity-reduced continuous Hahn systems (Wilson systems).
+Each member names its parameter record (``params_type``) and that record's
+parameter names (``param_names``); the potentials, the kappa bound, the
+oracles and the command line all dispatch on it.
 
 Complex parameters are plain Python ``complex``; non-real values must come
 in conjugate pairs so that every downstream quantity (coefficients,
@@ -61,7 +61,7 @@ class WilsonParams:
     """Parameters (a, b, c, d) of the Wilson family.
 
     All real parts must be positive (>= 0 with ``allow_boundary``, which
-    admits the d = 0 specialization used by the parity-reduced even flow)
+    admits the d = 0 specialization that the parity-reduced even system is)
     and the parameter multiset must be closed under complex conjugation.
     """
 
@@ -117,9 +117,12 @@ class JacobiParams:
 
 
 class Family(Enum):
-    """The five flow families: the command-line name, the parameter record
-    (the reduced systems take continuous Hahn parameters) and its
-    parameter names in constructor order.
+    """The five flow families: the command-line name, the parameter record,
+    its parameter names in constructor order and, for the parity-reduced
+    systems, the extra Wilson parameters (c, d) that make them Wilson
+    systems: CH_2m(x) = W_m(x^2; a, b, 1/2, 0) and CH_2m+1(x) = x W_m(x^2;
+    a, b, 1/2, 1). A zero extra parameter enters the flow as its one-sided
+    limit on y > 0.
 
     ``CH`` is an alias of ``CONTINUOUS_HAHN``, so ``list(Family)`` has five
     members.
@@ -128,13 +131,29 @@ class Family(Enum):
     CONTINUOUS_HAHN = ("ch", ContinuousHahnParams, ("a", "b"))
     WILSON = ("wilson", WilsonParams, ("a", "b", "c", "d"))
     JACOBI = ("jacobi", JacobiParams, ("alpha", "beta"))
-    REDUCED_EVEN = ("ch-even", ContinuousHahnParams, ("a", "b"))
-    REDUCED_ODD = ("ch-odd", ContinuousHahnParams, ("a", "b"))
+    REDUCED_EVEN = ("ch-even", ContinuousHahnParams, ("a", "b"), (0.5, 0.0))
+    REDUCED_ODD = ("ch-odd", ContinuousHahnParams, ("a", "b"), (0.5, 1.0))
     CH = CONTINUOUS_HAHN
 
-    def __new__(cls, value: str, params_type: type, param_names: tuple[str, ...]):
+    def __new__(cls, value: str, params_type: type, param_names: tuple[str, ...],
+                wilson_cd: tuple[float, float] = ()):
         member = object.__new__(cls)
         member._value_ = value
         member.params_type = params_type
         member.param_names = param_names
+        member.wilson_cd = wilson_cd
         return member
+
+    @classmethod
+    def reduction(cls, n: int) -> Family:
+        """The parity-reduced system of the degree-n symmetric continuous
+        Hahn flow: the even one for even n, the odd one for odd n."""
+        return cls.REDUCED_ODD if n % 2 else cls.REDUCED_EVEN
+
+    def wilson_params(self, params) -> WilsonParams:
+        """The Wilson record of a Wilson flow's parameters: ``params`` itself
+        for the Wilson family, (a, b) with ``wilson_cd`` appended for a
+        reduced system."""
+        if self is Family.WILSON:
+            return params
+        return WilsonParams(params.a, params.b, *self.wilson_cd, allow_boundary=True)

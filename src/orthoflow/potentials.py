@@ -1,15 +1,16 @@
 """Morse potentials, gradients and Hessians for the five flow families.
 
 A ``PotentialKind`` pairs a member of the ``params.Family`` registry with a
-parameter record of that member's ``params_type``.
+parameter record of that member's ``params_type``; the parity-reduced
+systems run the Wilson formulas with the registry's extra parameters.
 
-Values, gradients and flow right-hand sides come from one evaluator per
-(kind, n), built by ``evaluator``. It precomputes what does not depend on
-the configuration: the parameter array, the linear term and the branch-cut
-check. The value reuses the arctans that the gradient computes, so the
-flow's descent test gets the potential and the next rhs from one
-evaluation. ``potential``, ``gradient`` and ``flow.flow_rhs`` build a
-fresh evaluator per call; the integrator and Newton build one per run.
+Values, gradients, Hessians and flow right-hand sides come from one
+evaluator per (kind, n), built by ``evaluator``. It precomputes what does
+not depend on the configuration: the parameter array, the linear term and
+the branch-cut check. The value reuses the arctans that the gradient
+computes, so the flow's descent test gets the potential and the next rhs
+from one evaluation. The public functions build a fresh evaluator per
+call; the integrator and Newton build one per run.
 
 Complex-parameter terms are evaluated through the principal branch of the
 complex arctan/log and their real part is taken; with Re(a) > 0 the
@@ -68,21 +69,8 @@ def pair_arctan(x, a: complex, b: complex):
     return (np.arctan(x / complex(a)) + np.arctan(x / complex(b))).real
 
 
-def _param_lorentz_sum(x, params):
-    # Re[ a / (a^2 + x^2) ], summed over parameters (x-derivative of arctan(x/a))
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for a in params:
-        out += (a / (a * a + x * x)).real
-    return out
-
-
-def _kind_params(kind: PotentialKind) -> tuple:
-    return tuple(getattr(kind.params, k) for k in kind.family.param_names)
-
-
 class _Evaluator:
-    """Potential value, gradient and flow rhs of one kind at one degree n.
+    """Potential value, gradient, Hessian and flow rhs of one kind at degree n.
 
     ``__init__`` precomputes everything that does not depend on x;
     ``_prepare(x)`` does the work that the value, the gradient and the rhs
@@ -109,60 +97,59 @@ class _Evaluator:
         return self._value(x, pre), self._rhs(x, pre)
 
 
-#: the linear term sum_j c_j x_j of each Morse potential, c as a function of (j, n)
-_LINEAR = {
-    Family.CONTINUOUS_HAHN: lambda j, n: 0.5 * np.pi * (n + 1 - 2 * j),
-    Family.WILSON: lambda j, n: -np.pi * j,
-    Family.REDUCED_EVEN: lambda j, n: -np.pi * (j - 0.5),
-    Family.REDUCED_ODD: lambda j, n: -np.pi * j,
-}
-
-
 class _MorseEvaluator(_Evaluator):
     """Continuous Hahn, Wilson and the parity-reduced systems:
 
         V(x) = sum_j [sum_a Re A_a(x_j) + c_j x_j] + sum_{j<k} F(x_j - x_k)
-               + sum_{j<k} F(x_j + x_k)           (all but continuous Hahn)
-               + sum_j F(2 x_j) / 2               (parity-reduced),
+               + sum_{j<k} F(x_j + x_k)           (all but continuous Hahn),
 
     with A_a(x) = x arctan(x/a) - (a/2) log(1 + (x/a)^2) and
-    F = antideriv_arctan. The odd system's extra sum_j F(x_j) is the
-    parameter term with a = 1. The flow rhs is -gradient.
+    F = antideriv_arctan. A parity-reduced system is the Wilson flow whose
+    parameters are (a, b) and the registry's extra ``wilson_cd``; an extra
+    parameter 0 enters as its one-sided limit on y > 0, A_0(y) = (pi/2) y,
+    which adds pi/2 to every c_j and nothing to the Hessian. The flow rhs
+    is -gradient.
     """
 
     def __init__(self, kind: PotentialKind, n: int):
         fam = kind.family
-        params = _kind_params(kind)
-        if fam is Family.REDUCED_ODD:
-            params += (1.0,)
+        params = tuple(getattr(kind.params, k) for k in fam.param_names)
         _check_branch(*params)
-        a = np.array(params, dtype=complex)
+        extra = fam.wilson_cd
+        a = np.array(params + tuple(e for e in extra if e != 0), dtype=complex)
         # all-real parameters need no complex arithmetic
         self._a = (a if a.imag.any() else a.real)[:, None]
-        self._linear = _LINEAR[fam](np.arange(1, n + 1), n)
+        ch = fam is Family.CONTINUOUS_HAHN
+        # the linear term sum_j c_j x_j, plus pi/2 per zero extra parameter
+        j = np.arange(1, n + 1)
+        c = 0.5 * np.pi * (n + 1 - 2 * j) if ch else -np.pi * j
+        self._linear = c + 0.5 * np.pi * extra.count(0)
         # pairs[j, 0, k] = x_j - x_k and, except for continuous Hahn,
         # pairs[j, 1, k] = x_j + x_k, in one array so that one arctan and
         # one sum serve both pair terms
-        signs = [-1.0] if fam is Family.CONTINUOUS_HAHN else [-1.0, 1.0]
+        signs = [-1.0] if ch else [-1.0, 1.0]
         self._signs = np.array(signs)[:, None]
-        # the full Wilson flow excludes the k = j terms F(2 x_j): zero them
-        self._self_pairs = (
-            np.arange(n) * (2 * n + 1) + n if fam is Family.WILSON else None
-        )
+        # the sums exclude the self pairs k = j: zero the F(2 x_j) ones
+        # (x_j - x_j is 0 already)
+        self._self_pairs = None if ch else np.arange(n) * (2 * n + 1) + n
+
+    def _pairs(self, x):
+        pairs = x[:, None, None] + self._signs * x
+        if self._self_pairs is not None:
+            pairs.reshape(-1)[self._self_pairs] = 0.0
+        return pairs
 
     def _prepare(self, x):
         z = x / self._a
         grad_params = np.arctan(z).real.sum(axis=0) + self._linear
-        pairs = x[:, None, None] + self._signs * x
-        if self._self_pairs is not None:
-            pairs.reshape(-1)[self._self_pairs] = 0.0
+        pairs = self._pairs(x)
         return z, grad_params, pairs, np.arctan(pairs)
 
     def _value(self, x, pre):
         z, grad_params, pairs, arctan_pairs = pre
         v = x @ grad_params - 0.5 * (self._a * np.log1p(z * z)).real.sum()
-        # every pair (j, k) appears twice and the kept diagonal terms count
-        # at half weight, so the pair terms are half the full sum of F
+        # every pair (j, k) appears twice, so the pair terms are half the
+        # full sum of F
         v += 0.5 * np.vdot(pairs, arctan_pairs) - 0.25 * np.log1p(pairs * pairs).sum()
         return float(v)
 
@@ -171,6 +158,16 @@ class _MorseEvaluator(_Evaluator):
 
     def _rhs(self, x, pre):
         return -self._gradient(x, pre)
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        # d/dx arctan(x/a) = Re a / (a^2 + x^2) and F'' = 1 / (1 + u^2); the
+        # self pair, 0 in every sign block, has weight 1 and is taken out
+        lorentz = 1.0 / (1.0 + self._pairs(x) ** 2)
+        h = (self._signs * lorentz).sum(axis=1)
+        with np.errstate(over="ignore"):  # a^2 = inf only where the term is ~1/|a| = 0
+            params = (self._a / (self._a * self._a + x * x)).real.sum(axis=0)
+        h[np.diag_indices(x.size)] = params + (lorentz.sum(axis=(1, 2)) - len(self._signs))
+        return h
 
 
 class _JacobiEvaluator(_Evaluator):
@@ -207,6 +204,14 @@ class _JacobiEvaluator(_Evaluator):
     def _rhs(self, x, d):
         return electrostatic_drift(self._p, x, d)
 
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        cd = 1.0 / differences(x) ** 2
+        h = -cd
+        h[np.diag_indices(x.size)] = cd.sum(axis=1) + (
+            self._wa / (x - 1.0) ** 2 + self._wb / (x + 1.0) ** 2
+        )
+        return h
+
 
 def evaluator(kind: PotentialKind, n: int) -> _Evaluator:
     """Evaluator of ``kind`` at degree n; raises ``BranchCrossing`` for a
@@ -231,41 +236,4 @@ def gradient(kind: PotentialKind, x) -> np.ndarray:
 def hessian(kind: PotentialKind, x) -> np.ndarray:
     """Symmetric Hessian matrix of the potential."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if n == 0:
-        return np.zeros((0, 0))
-    fam = kind.family
-
-    if fam is Family.JACOBI:
-        p = kind.params
-        d = differences(x)
-        cd = 1.0 / (d * d)
-        h = -cd
-        diag = np.sum(cd, axis=1)
-        diag += 0.5 * (p.alpha + 1) / (x - 1.0) ** 2 + 0.5 * (p.beta + 1) / (x + 1.0) ** 2
-        h[np.diag_indices(n)] = diag
-        return h
-
-    params = _kind_params(kind)
-    d = x[:, None] - x[None, :]
-    cd = 1.0 / (1.0 + d * d)
-
-    if fam is Family.CONTINUOUS_HAHN:
-        h = -cd
-        diag = _param_lorentz_sum(x, params) + (np.sum(cd, axis=1) - 1.0)
-        h[np.diag_indices(n)] = diag
-        return h
-
-    s = x[:, None] + x[None, :]
-    cs = 1.0 / (1.0 + s * s)
-    h = cs - cd
-    diag = _param_lorentz_sum(x, params) + (np.sum(cd, axis=1) - 1.0)
-    cs_self = 1.0 / (1.0 + 4.0 * x * x)
-    if fam is Family.WILSON:
-        diag += np.sum(cs, axis=1) - cs_self
-    elif fam is Family.REDUCED_EVEN:
-        diag += np.sum(cs, axis=1) + cs_self
-    else:
-        diag += np.sum(cs, axis=1) + cs_self + 1.0 / (1.0 + x * x)
-    h[np.diag_indices(n)] = diag
-    return h
+    return evaluator(kind, x.size).hessian(x)

@@ -29,7 +29,8 @@ class RateReport:
 
 
 def _param_term(a: complex, r: float) -> float:
-    return a.real / (a.real**2 + (r + abs(a.imag)) ** 2)
+    # a zero parameter (a reduced system's d = 0) contributes its limit 0
+    return a.real / (a.real**2 + (r + abs(a.imag)) ** 2) if a else 0.0
 
 
 def kappa_continuous_hahn(p: ContinuousHahnParams, r_n: float) -> float:
@@ -39,41 +40,41 @@ def kappa_continuous_hahn(p: ContinuousHahnParams, r_n: float) -> float:
     return _param_term(p.a, r_n) + _param_term(p.b, r_n)
 
 
+def _wilson_terms(values, m: int, r_n: float) -> float:
+    if r_n < 0:
+        raise ValueError("R_n must be nonnegative")
+    crowd = 2.0 * (m - 1) / (1.0 + 4.0 * r_n * r_n)
+    return crowd + sum(_param_term(e, r_n) for e in values)
+
+
 def kappa_wilson(p: WilsonParams, n: int, r_n: float) -> float:
     """Right endpoint of the Wilson decay-rate interval."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if r_n < 0:
-        raise ValueError("R_n must be nonnegative")
-    crowd = 2.0 * (n - 1) / (1.0 + 4.0 * r_n * r_n)
-    return crowd + sum(_param_term(e, r_n) for e in p.values)
+    return _wilson_terms(p.values, n, r_n)
 
 
 def kappa_continuous_hahn_symmetric(p: ContinuousHahnParams, n: int, r_n: float) -> float:
-    """Improved rate endpoint valid for parity-symmetric initial conditions."""
+    """Improved rate endpoint valid for parity-symmetric initial conditions:
+    the Wilson bound of the parity-reduced system, with m = n // 2 roots and
+    the extra parameters (c, d) = (1/2, n mod 2)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if r_n < 0:
-        raise ValueError("R_n must be nonnegative")
-    crowd = 2.0 * (n // 2) / (1.0 + 4.0 * r_n * r_n)
-    parity = (1.0 - (-1.0) ** n) / (2.0 + 2.0 * r_n * r_n)
-    return crowd + _param_term(p.a, r_n) + _param_term(p.b, r_n) + parity
+    return _wilson_terms(Family.reduction(n).wilson_params(p).values, n // 2, r_n)
 
 
 def kappa_bound(kind: PotentialKind, n: int, r_n: float) -> float:
     """Decay-rate bound of the flow of ``kind`` at degree n, whose
-    equilibrium has R_n = max_j |x_j*| (the reduced systems use the
-    parity-symmetric bound of the full degree-2n or 2n+1 flow)."""
+    equilibrium has R_n = max_j |x_j*| (the reduced systems are Wilson
+    flows, and their bound is the parity-symmetric bound of the full
+    degree-2n or 2n+1 flow)."""
     fam = kind.family
     p = kind.params
     if fam is Family.CONTINUOUS_HAHN:
         return kappa_continuous_hahn(p, r_n)
-    if fam is Family.WILSON:
-        return kappa_wilson(p, n, r_n)
     if fam is Family.JACOBI:
         return jacobi_kappa(p, n)
-    n_full = 2 * n if fam is Family.REDUCED_EVEN else 2 * n + 1
-    return kappa_continuous_hahn_symmetric(p, n_full, r_n)
+    return kappa_wilson(fam.wilson_params(p), n, r_n)
 
 
 def measure_decay(

@@ -157,3 +157,14 @@ def test_precision_env_override(capsys, monkeypatch):
     out = capsys.readouterr().out.strip()
     decimals = out.split("=")[1].strip().split(".")[1]
     assert len(decimals) == 7
+
+
+def test_roots_zero_root_prints_without_a_sign(capsys):
+    # the middle root of the symmetric configuration is roundoff around 0
+    argv = ["roots", "--family", "ch", "--n", "9", "--a", "10", "--b", "3/10"]
+    outs = []
+    for init in ([], ["--init", "equispaced"]):
+        assert main(argv + init) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[4] == "x[5] = 0.0000"
