@@ -154,9 +154,12 @@ def _write_rows(path: str, header: list[str], rows) -> None:
 def _write_series(path: str, times, values, prefix: str) -> None:
     """One row per sample: t, then the n values, each as %.17g (which
     round-trips doubles); columns t, {prefix}1 .. {prefix}n."""
-    header = ["t"] + [f"{prefix}{j}" for j in range(1, values.shape[1] + 1)]
-    rows = [[f"{t:.17g}"] + [f"{v:.17g}" for v in row] for t, row in zip(times, values)]
-    _write_rows(path, header, rows)
+    n = values.shape[1]
+    header = ",".join(["t"] + [f"{prefix}{j}" for j in range(1, n + 1)])
+    fmt = ",".join(["%.17g"] * (n + 1))
+    rows = np.column_stack([times, values]).tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\n".join([header] + [fmt % tuple(row) for row in rows]) + "\n")
 
 
 def write_logerr(path: str, traj: Trajectory, eq: np.ndarray) -> None:

@@ -3,12 +3,15 @@
 Companion-matrix eigenvalues, Bethe-type product identities and the
 second-order difference equation at the nodes all check a computed
 equilibrium without touching the code that computed it. The
-difference-equation residual evaluates the polynomial in factored form
-(products over the supplied roots); Horner on the expanded coefficients
-loses several digits at degree ~30 and large |x|. The companion
-eigenvalues are Newton-polished with exact integer evaluation of the
-polynomial at each double iterate, and a residual whose products overflow
-raises instead of passing.
+difference-equation residual never evaluates the polynomial: it forms
+p(x_j +- i) / p'(x_j) at all nodes at once, each as one product of O(1)
+ratios over the other nodes. So it neither loses the digits that Horner on
+the expanded coefficients loses at degree ~30 and large |x|, nor overflows
+with the degree as the separate products p(x_j + i) and p'(x_j) did at
+n ~ 400; a guard on near-repeated nodes replaces the old one on
+|lambda_n| |p'(x_j)|. The companion eigenvalues are Newton-polished with
+exact integer evaluation of the polynomial at each double iterate, and a
+residual whose arithmetic overflows raises instead of passing.
 """
 
 from __future__ import annotations
@@ -173,62 +176,75 @@ def bethe_residual_w(x, p: WilsonParams) -> float:
     return _bethe_residual(_bethe_lhs(x, p.values, (1.0, -1.0)), 1.0)
 
 
-def _factored_eval(roots: np.ndarray, z: complex, squared: bool) -> complex:
-    if squared:
-        return complex(np.prod(z * z - roots * roots))
-    return complex(np.prod(z - roots))
+def _shift_ratios(x: np.ndarray, squared: bool) -> np.ndarray:
+    """p(x_j + i) / p'(x_j) at every node x_j of p(z) = prod_k (q(z) - q(x_k)),
+    with q(z) = z, or q(z) = z^2 when ``squared``, in ratio form:
+
+        (t_j / q'(x_j)) prod_{k != j} (1 + t_j / (q(x_j) - q(x_k))),
+
+    where t_j = q(x_j + i) - q(x_j) is i or 2 i x_j - 1. Every factor is
+    O(1) for well-separated nodes, so the products stay in range where
+    p(x_j + i) and p'(x_j) overflow on their own. Blocks of _BETHE_ROWS rows
+    keep the temporaries O(n), as in _bethe_lhs. Since x_j is real,
+    p(x_j - i) / p'(x_j) is the conjugate.
+    """
+    if squared:  # p sees a node x_k only through x_k^2, so through |x_k|
+        nodes, t, dq = np.abs(x), 2j * x - 1.0, 2.0 * x
+    else:
+        nodes, t, dq = x, np.full(x.size, 1j), 1.0
+    ratios = t / dq
+    for lo in range(0, x.size, _BETHE_ROWS):
+        rows = slice(lo, lo + _BETHE_ROWS)
+        gap = nodes[rows, None] - nodes
+        gap[np.arange(gap.shape[0]), lo + np.arange(gap.shape[0])] = np.inf  # k = j: factor 1
+        if np.any(np.abs(gap) < _SINGULAR_TOL):
+            raise SingularFactor(f"two nodes lie within {_SINGULAR_TOL} (repeated roots?)")
+        den = gap * (nodes[rows, None] + nodes) if squared else gap
+        ratios[rows] *= np.prod(1.0 + t[rows, None] / den, axis=1)
+    return ratios
 
 
 def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
     """Normalized residual of the difference equation at the nodes.
 
     Max over j of |A(x_j) p(x_j + i) + A(-x_j) p(x_j - i)| divided by
-    |lambda_n| |p'(x_j)|; p is evaluated through its factored form.
+    |lambda_n| |p'(x_j)|, for p the monic polynomial with the given roots.
+    The ratios p(x_j +- i) / p'(x_j) are formed directly as products of
+    O(1) factors (``_shift_ratios``), so neither p nor p' is evaluated on
+    its own and the residual does not overflow with the degree.
     """
     roots = np.asarray(roots, dtype=float)
     n = poly.degree
     if roots.size != n:
         raise ValueError("number of roots must match the polynomial degree")
+    if n == 0:
+        return 0.0
 
     if family is Family.CH:
-        a, b = params.a, params.b
-        lam = -n * (n + 2 * a + 2 * b - 1)
-
-        def coeff_a(z):
-            return (z + 1j * a) * (z + 1j * b)
-
-        squared = False
+        values, squared = (params.a, params.b), False
+        lam = -n * (n + 2 * params.a + 2 * params.b - 1)
     elif family is Family.WILSON:
-        a, b, c, d = params.values
+        values, squared = params.values, True
+        a, b, c, d = values
         lam = -n * (n + a + b + c + d - 1)
-
-        def coeff_a(z):
-            if abs(z) < _SINGULAR_TOL:
-                raise SingularFactor("Wilson A(x) is singular at x = 0")
-            return (z + 1j * a) * (z + 1j * b) * (z + 1j * c) * (z + 1j * d) / (
-                2.0 * z * (2.0 * z + 1j)
-            )
-
-        squared = True
+        if np.any(np.abs(roots) < _SINGULAR_TOL):
+            raise SingularFactor("Wilson A(x) is singular at x = 0")
     else:
         raise ValueError(f"unsupported family {family}")
+    scale = _finite(abs(lam), "difference-equation scale")
+    if scale < _SINGULAR_TOL:
+        raise SingularFactor(f"|lambda_n| = {scale} below {_SINGULAR_TOL}")
 
-    worst = 0.0
-    for j in range(n):
-        xj = roots[j]
-        others = np.delete(roots, j)
+    e = 1j * np.array(values, dtype=complex)
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite residual
+        z = np.stack([roots, -roots])
+        coeff_a = np.prod(z[..., None] + e, axis=-1)
         if squared:
-            dp = 2.0 * xj * np.prod(xj * xj - others * others)
-        else:
-            dp = np.prod(xj - others)
-        lhs = coeff_a(xj) * _factored_eval(roots, xj + 1j, squared)
-        lhs += coeff_a(-xj) * _factored_eval(roots, xj - 1j, squared)
-        scale = _finite(abs(lam) * abs(dp), "difference-equation scale")
-        _finite(lhs, "difference-equation term")
-        if scale < _SINGULAR_TOL:
-            raise SingularFactor("degenerate normalization scale (repeated roots?)")
-        worst = max(worst, abs(lhs) / scale)
-    return worst
+            coeff_a /= 2.0 * z * (2.0 * z + 1j)
+        ratios = _shift_ratios(roots, squared)
+        lhs = coeff_a[0] * ratios + coeff_a[1] * ratios.conj()
+        worst = np.max(np.abs(lhs)) / scale
+    return _finite(float(worst), "difference-equation term")
 
 
 def full_verify(family: Family, params, n: int) -> VerificationReport:

@@ -83,7 +83,10 @@ def _exact_to_float(nums, dens) -> np.ndarray:
 
 def _gmul(x, y):
     """Product of Gaussian integers given as (re, im) pairs; the parts of
-    ``y`` may be object arrays."""
+    ``y`` may be object arrays. A real ``x`` (every y-shift in ``_series``,
+    every factor of a real-parameter series) costs two products, not four."""
+    if not x[1]:
+        return (x[0] * y[0], x[0] * y[1])
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 

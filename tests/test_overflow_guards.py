@@ -1,5 +1,7 @@
 """Non-finite parameters are rejected, and overflow never passes silently."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,18 +73,30 @@ def test_cli_verify_overflowed_residual_is_a_numerical_failure(tmp_path, capsys)
     assert "PrecisionLoss" in capsys.readouterr().err
 
 
+def test_cli_verify_overflowed_residual_raises_no_numpy_warning(tmp_path, capsys):
+    # the overflow is reported once, as PrecisionLoss, not also as RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("verify", "1e308", tmp_path) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: PrecisionLoss")
+    assert captured.err.count("\n") == 1
+
+
 def test_exact_result_beyond_double_range_is_precision_loss():
     with pytest.raises(PrecisionLoss):
         monic_jacobi(5, JacobiParams(1e200, 0.5))
 
 
 def test_diff_eq_residual_overflow_raises():
-    # 400 non-roots: the factored products overflow, and max(0.0, nan)
-    # used to report a residual of 0.0
+    # 400 non-roots: the separate products p(x_j + i) and p'(x_j) overflowed,
+    # and max(0.0, nan) used to report a residual of 0.0. Their ratio stays
+    # in range, so the non-roots must now be flagged by a finite residual
+    # (products that do overflow raise: test_diff_eq_ratio.py)
     x = np.linspace(-300.0, 300.0, 400)
     poly = MonicPoly(np.r_[np.zeros(400), 1.0])
-    with np.errstate(all="ignore"), pytest.raises(PrecisionLoss):
-        diff_eq_residual(poly, x, Family.CH, ContinuousHahnParams(1.0, 1.0))
+    res = diff_eq_residual(poly, x, Family.CH, ContinuousHahnParams(1.0, 1.0))
+    assert np.isfinite(res) and res >= 1e-2
 
 
 @pytest.mark.parametrize("a,b", [(1e308, 0.5), (1e200, 1e200)])

@@ -16,6 +16,7 @@ from orthoflow import (
     monic_jacobi,
     monic_wilson,
 )
+from orthoflow import polynomials
 from orthoflow.polynomials import _check_denominators
 
 from conftest import random_ch_params
@@ -147,3 +148,37 @@ def test_monic_poly_validates_leading_coefficient():
 def test_companion_rejects_complex_roots():
     with pytest.raises(ComplexRoots):
         companion_roots(MonicPoly(np.array([1.0, 0.0, 1.0])))  # x^2 + 1
+
+
+def _four_product_gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _series_draws(rng):
+    """One draw per parameter shape: CH (a conftest draw), Wilson all-real,
+    one conjugate pair, two pairs and d = 0, and Jacobi."""
+    def pair():
+        z = complex(rng.uniform(0.3, 2.5), rng.uniform(0.1, 1.2))
+        return [z, z.conjugate()]
+
+    r = rng.uniform(0.3, 2.5, size=4)
+    return [
+        (monic_continuous_hahn, random_ch_params(rng)),
+        (monic_wilson, WilsonParams(*r)),
+        (monic_wilson, WilsonParams(r[0], r[1], *pair())),
+        (monic_wilson, WilsonParams(*pair(), *pair())),
+        (monic_wilson, WilsonParams(r[2], r[3], 0.5, 0.0, allow_boundary=True)),
+        (monic_jacobi, JacobiParams(rng.uniform(-0.9, 4.0), rng.uniform(-0.9, 4.0))),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
+def test_real_scalar_products_leave_the_series_unchanged(n, seed, monkeypatch):
+    # the real-scalar path of _gmul skips products by zero only: the exact
+    # integers, and so every rounded coefficient, are the same
+    draws = _series_draws(np.random.default_rng([seed, n]))
+    fast = [monic(n, p).coeffs for monic, p in draws]
+    monkeypatch.setattr(polynomials, "_gmul", _four_product_gmul)
+    for (monic, p), coeffs in zip(draws, fast):
+        assert np.array_equal(monic(n, p).coeffs, coeffs), (monic.__name__, p)
