@@ -18,7 +18,6 @@ binary floating point at parse time.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -144,13 +143,6 @@ def _cnum(z: complex):
     return z.real if z.imag == 0 else {"re": z.real, "im": z.imag}
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_series(path: str, times, values, prefix: str) -> None:
     """One row per sample: t, then the n values, each as %.17g (which
     round-trips doubles); columns t, {prefix}1 .. {prefix}n."""
@@ -191,7 +183,9 @@ def cmd_roots(args) -> int:
             root = abs(root)
         print(f"x[{idx}] = {root:.{prec}f}")
     if args.output and args.format == "csv":
-        _write_rows(args.output, ["index", "root"], enumerate(roots.tolist(), 1))
+        rows = [f"{i},{r!r}" for i, r in enumerate(roots.tolist(), 1)]
+        with open(args.output, "w", newline="", encoding="utf-8") as fh:
+            fh.write("\n".join(["index,root"] + rows) + "\n")
     elif args.output:
         # the bound and the Hessian have no value for the empty configuration
         payload = {

@@ -256,6 +256,8 @@ def full_verify(family: Family, params, n: int) -> VerificationReport:
     """
     if family is Family.JACOBI:
         raise ValueError("verify supports the families ch, wilson, ch-even and ch-odd")
+    if n < 1:
+        raise ValueError(f"verify needs n >= 1, got {n}")
     kind = PotentialKind(family, params)
     if family is Family.CH:
         poly, bethe_residual = monic_continuous_hahn(n, params), bethe_residual_ch

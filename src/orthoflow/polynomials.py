@@ -9,6 +9,14 @@ rounded to double once, by one exact integer division, so no working
 precision has to be chosen. The conjugate-pair parameter constraints make
 the imaginary parts vanish (up to the conjugacy tolerance of the parameter
 records), which is asserted rather than silently truncated.
+
+Only the Wilson 4F3 and the Jacobi 2F1 are summed. The symmetric continuous
+Hahn polynomials are Wilson polynomials in x^2 (Koekoek, Lesky & Swarttouw
+2010, sections 9.1 and 9.4): CH_2m(x) = W_m(x^2; a, b, 1/2, 0) and
+CH_2m+1(x) = x W_m(x^2; a, b, 1/2, 1). The rounded Wilson leading
+coefficient is exactly +-1, so making it monic rounds nothing again, and
+each continuous Hahn coefficient is the correctly rounded value of its exact
+rational, the value a continuous Hahn 3F2 series summed exactly would give.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import DegenerateParameters, PrecisionLoss
-from .params import ContinuousHahnParams, JacobiParams, WilsonParams
+from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 
 #: absolute floor below which a Pochhammer denominator counts as vanished
 _DEGENERACY_TOL = 1e-12
@@ -185,32 +193,17 @@ def _gaussian(values) -> tuple[list[tuple[int, int]], int]:
 def monic_continuous_hahn(n: int, p: ContinuousHahnParams) -> MonicPoly:
     """Monic symmetric continuous Hahn polynomial of degree n in x.
 
-    Sums the terminating 3F2 series exactly as a polynomial in x and
-    converts to real coefficients.
+    CH_2m(x) = W_m(x^2; a, b, 1/2, 0) and CH_2m+1(x) = x W_m(x^2; a, b, 1/2,
+    1): the coefficients of the reduced Wilson polynomial of degree n // 2
+    (``Family.reduction(n)``) sit at x^(n mod 2), x^(n mod 2 + 2), ...; the
+    others are exactly 0. That leading coefficient rounds to exactly +-1, so
+    each coefficient is rounded once, as from an exactly summed 3F2 series.
     """
     _check_degree(n)
-    if n == 0:
-        return MonicPoly(np.array([1.0]))
-    _check_denominators(
-        [p.a + p.a.conjugate(), p.a + p.b.conjugate()], n
-    )
-    s0 = p.a + p.a.conjugate() + p.b + p.b.conjugate()
-    _check_denominators([n + s0 - 1], n)
-
-    # with D = 2**sh and the parameters scaled by D, term k times
-    # (e1)_n (e2)_n is D^-2n (-1)^k C(n, k) (n+s-1)_k (e1+k)_{n-k}
-    # (e2+k)_{n-k} (a+ix)_k, an integer polynomial in t = iDx
-    (a, b), sh = _gaussian([p.a, p.b])
-    d = 1 << sh
-    e1, e2 = (2 * a[0], 0), (a[0] + b[0], a[1] - b[1])
-    upper = _rising(((n - 1) * d + e1[0] + 2 * b[0], 0), d, n)  # (n+s-1+j) D, real
-    lower = [_gmul(u, v) for u, v in zip(_rising(e1, d, n), _rising(e2, d, n))]
-    re, im = _series(upper, lower, _rising(a, d, n), (1, 0))
-    # coefficient of x^m: i^(n+m) D^(m-n) t_m / (n+s-1)_n
-    rot = (n + np.arange(n + 1)) % 4
-    re, im = np.choose(rot, [re, -im, -re, im]), np.choose(rot, [im, re, -im, -re])
-    re, im = _divide(re, im, _gprod(upper), sh * (n - np.arange(n + 1)))
-    return _monic(_to_real(re, im), VariableKind.X)
+    w = monic_wilson(n // 2, Family.reduction(n).wilson_params(p))
+    coeffs = np.zeros(n + 1)
+    coeffs[n % 2::2] = w.coeffs
+    return MonicPoly(coeffs)
 
 
 def monic_wilson(n: int, p: WilsonParams) -> MonicPoly:
@@ -258,9 +251,6 @@ def monic_jacobi(n: int, p: JacobiParams) -> MonicPoly:
     lower = [(2 * z[0], 0) for z in _rising((d + al, 0), d, n)]
     re, _ = _series(upper, lower, [(1, 0)] * n, (-1, 0))
     den = factorial(n) << (n * sh + n)
-    lead = _exact_to_float([_gprod(upper)[0]], [den])[0]
-    if abs(lead) < _DEGENERACY_TOL:
-        raise DegenerateParameters("Jacobi leading coefficient vanishes")
     return _monic(_exact_to_float(re, [den] * (n + 1)), VariableKind.X)
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -84,6 +85,27 @@ def test_flow_requires_output(capsys):
 def test_verify_ok():
     code = main(["verify", "--family", "ch", "--n", "5", "--a", "2", "--b", "3/10"])
     assert code == EXIT_OK
+
+
+def test_verify_rejects_degree_zero(capsys):
+    code = main(["verify", "--family", "ch", "--n", "0", "--a", "1", "--b", "1"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: verify needs n >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("n", [0, 3, 9])
+def test_roots_csv_matches_json_roots(n, tmp_path):
+    # n = 9 has a root that is signed roundoff around 0: the CSV, like the
+    # JSON, keeps it unrounded
+    argv = ["roots", "--family", "ch", "--n", str(n), "--a", "10", "--b", "3/10"]
+    assert main(argv + ["--output", str(tmp_path / "r.json")]) == EXIT_OK
+    assert main(argv + ["--format", "csv", "--output", str(tmp_path / "r.csv")]) == EXIT_OK
+    roots = json.loads((tmp_path / "r.json").read_text())["roots"]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["index", "root"])
+    writer.writerows(enumerate(roots, 1))
+    assert (tmp_path / "r.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_verify_rejects_jacobi():

@@ -172,6 +172,11 @@ def _within_one_ulp(got, want) -> bool:
 @pytest.mark.parametrize("n", DEGREES)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_coefficients_within_one_ulp_of_reference(family, n, seed):
+    """The exact kernels against the mpmath series. For ``ch`` the reference
+    is a continuous Hahn 3F2, while ``monic_continuous_hahn`` is built from
+    the reduced Wilson 4F3, so this is the independent check of the
+    continuous Hahn coefficients and keeps the quadratic relations of
+    criterion 7 from holding by construction alone."""
     p, exact, ref = _draw(family, n, seed)
     got, want = exact(n, p).coeffs, ref(n, p)
     if family == "ch":

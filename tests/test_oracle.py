@@ -20,6 +20,8 @@ from orthoflow import (
     newton_solve,
 )
 
+from orthoflow import oracle
+
 from conftest import random_ch_params, random_wilson_params
 
 
@@ -118,6 +120,18 @@ def test_full_verify_small_ch():
     assert report.max_bethe_residual < 1e-10
     assert report.max_diff_eq_residual < 1e-10
     assert report.hessian_min_eigenvalue > 0
+
+
+@pytest.mark.parametrize("family", [Family.CH, Family.REDUCED_EVEN, Family.WILSON])
+def test_full_verify_rejects_degree_zero_before_solving(family, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before the degree was checked")
+
+    for name in ("newton_solve", "monic_continuous_hahn", "monic_wilson"):
+        monkeypatch.setattr(oracle, name, fail)
+    params = WilsonParams(1, 1, 1, 1) if family is Family.WILSON else ContinuousHahnParams(1, 1)
+    with pytest.raises(ValueError, match="verify needs n >= 1"):
+        full_verify(family, params, 0)
 
 
 def test_full_verify_small_wilson():

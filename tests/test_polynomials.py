@@ -44,6 +44,24 @@ def test_continuous_hahn_coefficient_parity(n, seed):
     assert np.max(np.abs(off_parity)) < 1e-10 * scale
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_continuous_hahn_low_degrees_are_exact(seed):
+    p = random_ch_params(np.random.default_rng(seed))
+    assert monic_continuous_hahn(0, p).coeffs.tolist() == [1.0]
+    assert monic_continuous_hahn(1, p).coeffs.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [5, 17, 64])
+def test_continuous_hahn_near_conjugate_pair_has_exact_parity(n):
+    # the record accepts b = conj(a) (1 + 1e-13); the Wilson route places the
+    # reduced coefficients only, so the other parity is exactly 0, not ~1e-13
+    # relative roundoff of the residue
+    a = complex(2.0, 1.0)
+    poly = monic_continuous_hahn(n, ContinuousHahnParams(a, a.conjugate() * (1 + 1e-13)))
+    assert np.all(poly.coeffs[(np.arange(n + 1) % 2) != n % 2] == 0.0)
+    assert np.all(poly.coeffs[n % 2::2] != 0.0)
+
+
 def test_wilson_degree_zero():
     poly = monic_wilson(0, WilsonParams(1, 1, 1, 1))
     assert poly.variable_kind is VariableKind.X_SQUARED
@@ -88,6 +106,12 @@ def test_jacobi_degree_one_root():
 def test_jacobi_legendre_recurrence(n):
     poly = monic_jacobi(n, JacobiParams(0.0, 0.0))
     assert poly.coeffs == pytest.approx(_monic_legendre(n), abs=1e-13)
+
+
+def test_jacobi_vanishing_leading_coefficient_raises():
+    # alpha + beta + 2 = 2e-13: the series' top coefficient is below the floor
+    with pytest.raises(DegenerateParameters):
+        monic_jacobi(1, JacobiParams(-1 + 1e-13, -1 + 1e-13))
 
 
 def test_jacobi_legendre_degree_two():
