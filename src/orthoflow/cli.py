@@ -79,6 +79,8 @@ def _parse_init_list(text: str, n: int) -> np.ndarray:
         token = token.strip()
         if "x" in token and not token.endswith("x"):
             val, count = token.rsplit("x", 1)
+            if not 0 <= int(count) <= n:
+                raise ParameterError(f"--x0 repeat count {count} is not in 0..{n}")
             values.extend([_parse_real(val)] * int(count))
         else:
             values.append(_parse_real(token))
@@ -295,8 +297,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """Write ``--opt -1/3`` as ``--opt=-1/3``: argparse takes a token that
+    starts with "-" for an option name unless it reads -digits[.digits].
+    Every long option but --help and --window (two values) takes one value."""
+    out = [""]
+    for token in argv:
+        prev = out[-1]
+        if (prev[:2] == "--" and "=" not in prev and prev not in ("--", "--help", "--window")
+                and token[:1] == "-" and token[1:2] not in ("", "-", "h")):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out[1:]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_values(argv))
     if args.n < 0:
         print("error: n must be nonnegative", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,17 +1,16 @@
 """Independent verification of computed roots.
 
-Companion-matrix eigenvalues, Bethe-type product identities and the
-second-order difference equation at the nodes all check a computed
-equilibrium without touching the code that computed it. The
-difference-equation residual never evaluates the polynomial: it forms
-p(x_j +- i) / p'(x_j) at all nodes at once, each as one product of O(1)
-ratios over the other nodes. So it neither loses the digits that Horner on
-the expanded coefficients loses at degree ~30 and large |x|, nor overflows
-with the degree as the separate products p(x_j + i) and p'(x_j) did at
-n ~ 400; a guard on near-repeated nodes replaces the old one on
-|lambda_n| |p'(x_j)|. The companion eigenvalues are Newton-polished with
-exact integer evaluation of the polynomial at each double iterate, and a
-residual whose arithmetic overflows raises instead of passing.
+The companion oracle is the independent check: it finds the roots of the
+series polynomial from its coefficients, as companion-matrix eigenvalues
+Newton-polished with exact integer evaluation of the polynomial. The Bethe
+product identities and the difference equation at the nodes are one
+identity in two normalisations. With u_j = A(x_j) p(x_j + i) / p'(x_j) and
+w_j = A(-x_j) p(x_j - i) / p'(x_j), the difference equation is
+u_j + w_j = 0 and the Bethe identity is u_j / w_j = -1, so one product pass
+(``_node_terms``) serves both. It forms each p(x_j + i) / p'(x_j) as a
+product of O(1) ratios over the other nodes, so it neither evaluates the
+polynomial nor overflows with the degree. A residual whose arithmetic
+overflows raises instead of passing.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .potentials import hessian
 _IMAG_ROOT_TOL = 1e-6
 _NEWTON_MAX_STEPS = 50
 _SINGULAR_TOL = 1e-12
-_BETHE_ROWS = 32
+_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -130,52 +129,6 @@ def _finite(value, what: str):
     return value
 
 
-def _bethe_lhs(x, values, signs) -> np.ndarray:
-    """Left sides of the Bethe product identities, one per root x_j:
-
-        prod_e (i e + x_j) / (i e - x_j)
-          * prod_{k != j} prod_s (i + x_j + s x_k) / (i - x_j - s x_k)
-
-    over the parameter values e and the signs s. The factors of a block of
-    rows form one array of ratios, multiplied out along each row; blocks of
-    _BETHE_ROWS rows keep the temporaries O(n), not O(n^2).
-    """
-    x = np.asarray(x, dtype=float)
-    e = 1j * np.asarray(values, dtype=complex)
-    lhs = np.empty(x.size, dtype=complex)
-    for lo in range(0, x.size, _BETHE_ROWS):
-        xj = x[lo:lo + _BETHE_ROWS, None]
-        diagonal = (np.arange(xj.size), lo + np.arange(xj.size))
-        nums, dens = [e + xj], [e - xj]
-        for s in signs:
-            u = xj + s * x[None, :]
-            u[diagonal] = 0.0  # the k = j factor becomes i / i = 1
-            nums.append(1j + u)
-            dens.append(1j - u)
-        den = np.concatenate(dens, axis=1)
-        small = np.abs(den) < _SINGULAR_TOL  # a NaN compares False: not small
-        if np.any(small):
-            raise SingularFactor(f"denominator factor {den[small][0]} below {_SINGULAR_TOL}")
-        lhs[lo:lo + _BETHE_ROWS] = np.prod(np.concatenate(nums, axis=1) / den, axis=1)
-    return lhs
-
-
-def _bethe_residual(lhs: np.ndarray, target: float) -> float:
-    worst = np.max(np.abs(lhs - target), initial=0.0)  # a NaN propagates
-    return _finite(float(worst), "Bethe residual")
-
-
-def bethe_residual_ch(x, p: ContinuousHahnParams) -> float:
-    """Max deviation of the continuous Hahn product identity from (-1)^(n+1)."""
-    x = np.asarray(x, dtype=float)
-    return _bethe_residual(_bethe_lhs(x, (p.a, p.b), (-1.0,)), (-1.0) ** (x.size + 1))
-
-
-def bethe_residual_w(x, p: WilsonParams) -> float:
-    """Max deviation of the Wilson product identity from 1."""
-    return _bethe_residual(_bethe_lhs(x, p.values, (1.0, -1.0)), 1.0)
-
-
 def _shift_ratios(x: np.ndarray, squared: bool) -> np.ndarray:
     """p(x_j + i) / p'(x_j) at every node x_j of p(z) = prod_k (q(z) - q(x_k)),
     with q(z) = z, or q(z) = z^2 when ``squared``, in ratio form:
@@ -184,17 +137,17 @@ def _shift_ratios(x: np.ndarray, squared: bool) -> np.ndarray:
 
     where t_j = q(x_j + i) - q(x_j) is i or 2 i x_j - 1. Every factor is
     O(1) for well-separated nodes, so the products stay in range where
-    p(x_j + i) and p'(x_j) overflow on their own. Blocks of _BETHE_ROWS rows
-    keep the temporaries O(n), as in _bethe_lhs. Since x_j is real,
-    p(x_j - i) / p'(x_j) is the conjugate.
+    p(x_j + i) and p'(x_j) overflow on their own. Blocks of _ROWS rows keep
+    the temporaries O(n), not O(n^2). Since x_j is real, p(x_j - i) / p'(x_j)
+    is the conjugate.
     """
     if squared:  # p sees a node x_k only through x_k^2, so through |x_k|
         nodes, t, dq = np.abs(x), 2j * x - 1.0, 2.0 * x
     else:
         nodes, t, dq = x, np.full(x.size, 1j), 1.0
     ratios = t / dq
-    for lo in range(0, x.size, _BETHE_ROWS):
-        rows = slice(lo, lo + _BETHE_ROWS)
+    for lo in range(0, x.size, _ROWS):
+        rows = slice(lo, lo + _ROWS)
         gap = nodes[rows, None] - nodes
         gap[np.arange(gap.shape[0]), lo + np.arange(gap.shape[0])] = np.inf  # k = j: factor 1
         if np.any(np.abs(gap) < _SINGULAR_TOL):
@@ -204,22 +157,13 @@ def _shift_ratios(x: np.ndarray, squared: bool) -> np.ndarray:
     return ratios
 
 
-def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
-    """Normalized residual of the difference equation at the nodes.
-
-    Max over j of |A(x_j) p(x_j + i) + A(-x_j) p(x_j - i)| divided by
-    |lambda_n| |p'(x_j)|, for p the monic polynomial with the given roots.
-    The ratios p(x_j +- i) / p'(x_j) are formed directly as products of
-    O(1) factors (``_shift_ratios``), so neither p nor p' is evaluated on
-    its own and the residual does not overflow with the degree.
-    """
+def _node_terms(roots, family: Family, params):
+    """u_j = A(x_j) p(x_j + i) / p'(x_j) and w_j = A(-x_j) p(x_j - i) / p'(x_j)
+    at every node, for p the monic polynomial with the given roots, and
+    lambda_n. u_j / w_j is (-1)^n times the left side of the continuous Hahn
+    product identity and minus the left side of the Wilson one."""
     roots = np.asarray(roots, dtype=float)
-    n = poly.degree
-    if roots.size != n:
-        raise ValueError("number of roots must match the polynomial degree")
-    if n == 0:
-        return 0.0
-
+    n = roots.size
     if family is Family.CH:
         values, squared = (params.a, params.b), False
         lam = -n * (n + 2 * params.a + 2 * params.b - 1)
@@ -231,10 +175,6 @@ def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
             raise SingularFactor("Wilson A(x) is singular at x = 0")
     else:
         raise ValueError(f"unsupported family {family}")
-    scale = _finite(abs(lam), "difference-equation scale")
-    if scale < _SINGULAR_TOL:
-        raise SingularFactor(f"|lambda_n| = {scale} below {_SINGULAR_TOL}")
-
     e = 1j * np.array(values, dtype=complex)
     with np.errstate(all="ignore"):  # overflow shows as a non-finite residual
         z = np.stack([roots, -roots])
@@ -242,9 +182,50 @@ def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
         if squared:
             coeff_a /= 2.0 * z * (2.0 * z + 1j)
         ratios = _shift_ratios(roots, squared)
-        lhs = coeff_a[0] * ratios + coeff_a[1] * ratios.conj()
-        worst = np.max(np.abs(lhs)) / scale
+        return coeff_a[0] * ratios, coeff_a[1] * ratios.conj(), lam
+
+
+def _bethe_max(u: np.ndarray, w: np.ndarray) -> float:
+    """max_j |1 + u_j / w_j|, the deviation of either product identity."""
+    with np.errstate(all="ignore"):
+        worst = np.max(np.abs(1.0 + u / w), initial=0.0)  # a NaN propagates
+    return _finite(float(worst), "Bethe residual")
+
+
+def _diff_eq_max(u: np.ndarray, w: np.ndarray, lam) -> float:
+    scale = _finite(abs(lam), "difference-equation scale")
+    if scale < _SINGULAR_TOL:
+        raise SingularFactor(f"|lambda_n| = {scale} below {_SINGULAR_TOL}")
+    with np.errstate(all="ignore"):
+        worst = np.max(np.abs(u + w)) / scale
     return _finite(float(worst), "difference-equation term")
+
+
+def bethe_residual_ch(x, p: ContinuousHahnParams) -> float:
+    """Max deviation of the continuous Hahn product identity from (-1)^(n+1)."""
+    return _bethe_max(*_node_terms(x, Family.CH, p)[:2])
+
+
+def bethe_residual_w(x, p: WilsonParams) -> float:
+    """Max deviation of the Wilson product identity from 1."""
+    return _bethe_max(*_node_terms(x, Family.WILSON, p)[:2])
+
+
+def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
+    """Normalized residual of the difference equation at the nodes.
+
+    Max over j of |A(x_j) p(x_j + i) + A(-x_j) p(x_j - i)| divided by
+    |lambda_n| |p'(x_j)|, for p the monic polynomial with the given roots.
+    ``poly`` supplies only the degree n: the residual tests the roots
+    against the difference equation of ``params``, not the coefficients.
+    """
+    roots = np.asarray(roots, dtype=float)
+    n = poly.degree
+    if roots.size != n:
+        raise ValueError("number of roots must match the polynomial degree")
+    if n == 0:
+        return 0.0
+    return _diff_eq_max(*_node_terms(roots, family, params))
 
 
 def full_verify(family: Family, params, n: int) -> VerificationReport:
@@ -260,16 +241,16 @@ def full_verify(family: Family, params, n: int) -> VerificationReport:
         raise ValueError(f"verify needs n >= 1, got {n}")
     kind = PotentialKind(family, params)
     if family is Family.CH:
-        poly, bethe_residual = monic_continuous_hahn(n, params), bethe_residual_ch
+        poly = monic_continuous_hahn(n, params)
     else:
         family, params = Family.WILSON, family.wilson_params(params)
-        poly, bethe_residual = monic_wilson(n, params), bethe_residual_w
+        poly = monic_wilson(n, params)
     eq = newton_solve(kind, default_start(kind, n), tol=1e-12)
     roots = np.sort(eq)
     comp = companion_roots(poly)
     mismatch = float(np.max(np.abs(roots - comp)))
 
-    bethe = bethe_residual(roots, params)
-    diff_res = diff_eq_residual(poly, roots, family, params)
+    u, w, lam = _node_terms(roots, family, params)
+    bethe, diff_res = _bethe_max(u, w), _diff_eq_max(u, w, lam)
     min_eig = min_eigenvalue_symmetric(hessian(kind, eq))
     return VerificationReport(bethe, diff_res, mismatch, min_eig)

@@ -190,3 +190,42 @@ def test_roots_zero_root_prints_without_a_sign(capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert outs[0].splitlines()[4] == "x[5] = 0.0000"
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["roots", "--family", "jacobi", "--n", "3", "--alpha", "0.5"], ["--beta", "-1/3"]),
+    (["roots", "--family", "jacobi", "--n", "3", "--beta", "0.5"], ["--alpha", "-1e-1"]),
+    (["roots", "--family", "ch", "--n", "2", "--a", "1", "--b", "1", "--init", "custom"],
+     ["--x0", "-0.5,0.5"]),
+])
+def test_negative_literal_after_an_option_is_its_value(argv, option, capsys):
+    assert main(argv + ["=".join(option)]) == EXIT_OK
+    joined = capsys.readouterr().out
+    assert main(argv + option) == EXIT_OK
+    assert capsys.readouterr().out == joined
+
+
+def test_option_without_a_value_still_fails(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--family", "ch", "--n", "2", "--a", "--b", "1"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "argument --a: expected one argument" in capsys.readouterr().err
+
+
+def test_custom_init_repeat_count_checked_before_use(capsys):
+    code = main([
+        "roots", "--family", "ch", "--n", "3", "--a", "1", "--b", "1",
+        "--init", "custom", "--x0=1x100000000000000000000",
+    ])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --x0 repeat count 100000000000000000000 is not in 0..3\n"
+
+
+def test_verify_small_real_part_passes(capsys):
+    # Re a = 1e-13: the Bethe identity used to raise SingularFactor on its
+    # factor (i a - x_j), which cancels in the quotient of the two terms
+    code = main(["verify", "--family", "ch", "--n", "7", "--a", "1e-13", "--b", "1"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_bethe_residual"] <= 1e-12
+    assert payload["max_diff_eq_residual"] <= 1e-12
