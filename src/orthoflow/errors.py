@@ -22,7 +22,7 @@ class DomainViolation(OrthoflowError):
 
 
 class BranchCrossing(OrthoflowError):
-    """A complex arctan argument would hit the principal branch cut."""
+    """A parameter with Re a = 0 sits on the branch cut of arctan(x / a)."""
 
 
 class StepUnderflow(OrthoflowError):

@@ -9,7 +9,10 @@ Each ``integrate`` and ``newton_solve`` call builds one evaluator for its
 test evaluates the potential and the rhs together at the trial state, and
 an accepted trial reuses that rhs as the next step's first stage (first
 same as last), so an accepted RK4 step costs four evaluations. Newton
-likewise takes the next gradient from its accepted line-search trial.
+likewise takes the next gradient from its accepted line-search trial. At
+the flows' sizes an evaluation costs a few numpy calls on a small table, so
+the step combination is formed in place in one array and the stop test
+calls the array methods directly.
 """
 
 from __future__ import annotations
@@ -82,7 +85,14 @@ def _rk4_step(rhs, x, h, k1):
     k2 = rhs(x + 0.5 * h * k1)
     k3 = rhs(x + 0.5 * h * k2)
     k4 = rhs(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # x + (h/6)(k1 + 2 k2 + 2 k3 + k4), formed in place in one new array
+    acc = k2 + k3
+    acc *= 2.0
+    acc += k1
+    acc += k4
+    acc *= h / 6.0
+    acc += x
+    return acc
 
 
 def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> Trajectory:
@@ -103,7 +113,7 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     accepted = 0
 
     while t < settings.t_max - 1e-14:
-        if np.max(np.abs(k1)) < settings.grad_tol:
+        if np.abs(k1).max() < settings.grad_tol:
             break
         h_try = min(h, settings.t_max - t)
         while True:

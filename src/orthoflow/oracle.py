@@ -9,8 +9,9 @@ w_j = A(-x_j) p(x_j - i) / p'(x_j), the difference equation is
 u_j + w_j = 0 and the Bethe identity is u_j / w_j = -1, so one product pass
 (``_node_terms``) serves both. It forms each p(x_j + i) / p'(x_j) as a
 product of O(1) ratios over the other nodes, so it neither evaluates the
-polynomial nor overflows with the degree. A residual whose arithmetic
-overflows raises instead of passing.
+polynomial nor overflows with the degree, and it forms the Bethe quotient
+u_j / w_j factor by factor, so the quotient stays in range where A(+-x_j)
+overflows. A residual whose arithmetic overflows raises instead of passing.
 """
 
 from __future__ import annotations
@@ -158,10 +159,13 @@ def _shift_ratios(x: np.ndarray, squared: bool) -> np.ndarray:
 
 
 def _node_terms(roots, family: Family, params):
-    """u_j = A(x_j) p(x_j + i) / p'(x_j) and w_j = A(-x_j) p(x_j - i) / p'(x_j)
-    at every node, for p the monic polynomial with the given roots, and
-    lambda_n. u_j / w_j is (-1)^n times the left side of the continuous Hahn
-    product identity and minus the left side of the Wilson one."""
+    """u_j = A(x_j) p(x_j + i) / p'(x_j), w_j = A(-x_j) p(x_j - i) / p'(x_j),
+    the quotient u_j / w_j at every node, for p the monic polynomial with the
+    given roots, and lambda_n. u_j / w_j is (-1)^n times the left side of the
+    continuous Hahn product identity and minus the left side of the Wilson
+    one; it is formed factor by factor, as prod_e (x_j + i e) / (-x_j + i e)
+    times ratio_j / conj(ratio_j), so it stays in range where A(+-x_j) on its
+    own overflows."""
     roots = np.asarray(roots, dtype=float)
     n = roots.size
     if family is Family.CH:
@@ -178,17 +182,22 @@ def _node_terms(roots, family: Family, params):
     e = 1j * np.array(values, dtype=complex)
     with np.errstate(all="ignore"):  # overflow shows as a non-finite residual
         z = np.stack([roots, -roots])
-        coeff_a = np.prod(z[..., None] + e, axis=-1)
+        factors = z[..., None] + e
+        coeff_a = np.prod(factors, axis=-1)
+        quotient = np.prod(factors[0] / factors[1], axis=-1)
         if squared:
-            coeff_a /= 2.0 * z * (2.0 * z + 1j)
+            wilson = 2.0 * z * (2.0 * z + 1j)
+            coeff_a /= wilson
+            quotient *= wilson[1] / wilson[0]
         ratios = _shift_ratios(roots, squared)
-        return coeff_a[0] * ratios, coeff_a[1] * ratios.conj(), lam
+        quotient *= ratios / ratios.conj()
+        return coeff_a[0] * ratios, coeff_a[1] * ratios.conj(), quotient, lam
 
 
-def _bethe_max(u: np.ndarray, w: np.ndarray) -> float:
+def _bethe_max(quotient: np.ndarray) -> float:
     """max_j |1 + u_j / w_j|, the deviation of either product identity."""
     with np.errstate(all="ignore"):
-        worst = np.max(np.abs(1.0 + u / w), initial=0.0)  # a NaN propagates
+        worst = np.max(np.abs(1.0 + quotient), initial=0.0)  # a NaN propagates
     return _finite(float(worst), "Bethe residual")
 
 
@@ -203,12 +212,12 @@ def _diff_eq_max(u: np.ndarray, w: np.ndarray, lam) -> float:
 
 def bethe_residual_ch(x, p: ContinuousHahnParams) -> float:
     """Max deviation of the continuous Hahn product identity from (-1)^(n+1)."""
-    return _bethe_max(*_node_terms(x, Family.CH, p)[:2])
+    return _bethe_max(_node_terms(x, Family.CH, p)[2])
 
 
 def bethe_residual_w(x, p: WilsonParams) -> float:
     """Max deviation of the Wilson product identity from 1."""
-    return _bethe_max(*_node_terms(x, Family.WILSON, p)[:2])
+    return _bethe_max(_node_terms(x, Family.WILSON, p)[2])
 
 
 def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
@@ -225,7 +234,8 @@ def diff_eq_residual(poly: MonicPoly, roots, family: Family, params) -> float:
         raise ValueError("number of roots must match the polynomial degree")
     if n == 0:
         return 0.0
-    return _diff_eq_max(*_node_terms(roots, family, params))
+    u, w, _, lam = _node_terms(roots, family, params)
+    return _diff_eq_max(u, w, lam)
 
 
 def full_verify(family: Family, params, n: int) -> VerificationReport:
@@ -250,7 +260,7 @@ def full_verify(family: Family, params, n: int) -> VerificationReport:
     comp = companion_roots(poly)
     mismatch = float(np.max(np.abs(roots - comp)))
 
-    u, w, lam = _node_terms(roots, family, params)
-    bethe, diff_res = _bethe_max(u, w), _diff_eq_max(u, w, lam)
+    u, w, quotient, lam = _node_terms(roots, family, params)
+    bethe, diff_res = _bethe_max(quotient), _diff_eq_max(u, w, lam)
     min_eig = min_eigenvalue_symmetric(hessian(kind, eq))
     return VerificationReport(bethe, diff_res, mismatch, min_eig)

@@ -6,17 +6,22 @@ systems run the Wilson formulas with the registry's extra parameters.
 
 Values, gradients, Hessians and flow right-hand sides come from one
 evaluator per (kind, n), built by ``evaluator``. It precomputes what does
-not depend on the configuration: the parameter array, the linear term and
-the branch-cut check. The value reuses the arctans that the gradient
-computes, so the flow's descent test gets the potential and the next rhs
-from one evaluation. The public functions build a fresh evaluator per
-call; the integrator and Newton build one per run.
+not depend on the configuration: the linear term, the branch-cut check and
+the columns of the Morse table (see ``_MorseEvaluator``). The value reuses
+the rhs that the same evaluation computes, so the flow's descent test gets
+the potential and the next rhs from one evaluation. The public functions
+build a fresh evaluator per call; the integrator and Newton build one per
+run.
 
-Complex-parameter terms are evaluated through the principal branch of the
-complex arctan/log and their real part is taken; with Re(a) > 0 the
-arguments never touch the branch cuts, so the result is exactly the real
-pair sum (no arctan addition formulas are used). When every parameter is
-real the same formulas run in real arithmetic.
+Complex parameters enter the gradient and the Hessian through the real
+identity, for a = alpha + i beta with alpha > 0,
+
+    Re arctan(x / a) = [arctan((x + beta) / alpha) + arctan((x - beta) / alpha)] / 2,
+
+so the Morse rhs runs in real arithmetic whatever the parameters. Only the
+potential's own term of a complex parameter, Re a log1p((x / a)^2), is
+evaluated in complex arithmetic: its antiderivative over the two shifted
+columns cancels catastrophically.
 """
 
 from __future__ import annotations
@@ -62,11 +67,28 @@ def _check_branch(*params: complex):
             raise BranchCrossing(f"parameter {a} sits on the arctan branch cut")
 
 
+def _param_columns(params) -> list[tuple[float, float, float]]:
+    """(y, 1/alpha, w) of the columns whose weighted sum of
+    arctan((x - y) / alpha) is sum_a Re arctan(x / a): one column (0, 1/a, 1)
+    per real a, then two columns (-+beta, 1/alpha, 1/2) per a = alpha + i beta,
+    since for alpha > 0
+
+        Re arctan(x / a) = [arctan((x + beta) / alpha) + arctan((x - beta) / alpha)] / 2.
+    """
+    cols = [(0.0, 1.0 / a.real, 1.0) for a in params if a.imag == 0]
+    for a in params:
+        if a.imag != 0:
+            cols += [(-a.imag, 1.0 / a.real, 0.5), (a.imag, 1.0 / a.real, 0.5)]
+    return cols
+
+
 def pair_arctan(x, a: complex, b: complex):
     """Real value of arctan(x/a) + arctan(x/b) for a real or conjugate pair."""
-    _check_branch(complex(a), complex(b))
+    a, b = complex(a), complex(b)
+    _check_branch(a, b)
+    y, inv_alpha, w = np.array(_param_columns((a, b))).T
     x = np.asarray(x, dtype=float)
-    return (np.arctan(x / complex(a)) + np.arctan(x / complex(b))).real
+    return np.arctan((x[..., None] - y) * inv_alpha) @ w
 
 
 class _Evaluator:
@@ -107,8 +129,23 @@ class _MorseEvaluator(_Evaluator):
     F = antideriv_arctan. A parity-reduced system is the Wilson flow whose
     parameters are (a, b) and the registry's extra ``wilson_cd``; an extra
     parameter 0 enters as its one-sided limit on y > 0, A_0(y) = (pi/2) y,
-    which adds pi/2 to every c_j and nothing to the Hessian. The flow rhs
-    is -gradient.
+    which adds pi/2 to every c_j and nothing to the Hessian.
+
+    Every arctan of the gradient is a column of one real n x K table
+    arg[j, c] = (x_j - y_c) / alpha_c, in this order: the pair differences
+    (y_c = x_k); for the Wilson systems the pair sums (y_c = -x_k) and the
+    self pair 2 x_j = x_j / (1/2) with weight -1, which takes the k = j sum
+    out again; the real parameters; the complex ones (``_param_columns``).
+    The gradient is c + arctan(arg) @ w, and the flow rhs is -gradient.
+    Since F(u) = u arctan(u) - log1p(u^2) / 2 and every pair is counted from
+    both of its ends,
+
+        V = x . gradient - sum_c omega_c sum_j log1p(arg[j, c]^2)
+            - (1/2) Re sum_{complex a} a sum_j log1p((x_j / a)^2),
+
+    with omega = 1/4 on the pair columns, -1/4 on the self pair and a/2 on a
+    real parameter. The complex parameters keep their own log term: the
+    antiderivative of their two shifted columns cancels catastrophically.
     """
 
     def __init__(self, kind: PotentialKind, n: int):
@@ -116,57 +153,64 @@ class _MorseEvaluator(_Evaluator):
         params = tuple(getattr(kind.params, k) for k in fam.param_names)
         _check_branch(*params)
         extra = fam.wilson_cd
-        a = np.array(params + tuple(e for e in extra if e != 0), dtype=complex)
-        # all-real parameters need no complex arithmetic
-        self._a = (a if a.imag.any() else a.real)[:, None]
+        params += tuple(complex(e) for e in extra if e != 0)
         ch = fam is Family.CONTINUOUS_HAHN
         # the linear term sum_j c_j x_j, plus pi/2 per zero extra parameter
         j = np.arange(1, n + 1)
         c = 0.5 * np.pi * (n + 1 - 2 * j) if ch else -np.pi * j
-        self._linear = c + 0.5 * np.pi * extra.count(0)
-        # pairs[j, 0, k] = x_j - x_k and, except for continuous Hahn,
-        # pairs[j, 1, k] = x_j + x_k, in one array so that one arctan and
-        # one sum serve both pair terms
-        signs = [-1.0] if ch else [-1.0, 1.0]
-        self._signs = np.array(signs)[:, None]
-        # the sums exclude the self pairs k = j: zero the F(2 x_j) ones
-        # (x_j - x_j is 0 already)
-        self._self_pairs = None if ch else np.arange(n) * (2 * n + 1) + n
+        self._neg_linear = -(c + 0.5 * np.pi * extra.count(0))
+        self._sums = not ch
+        # after the pairs: for the Wilson systems the self pair, a column at
+        # y = 0 of width 1/2 and weight -1, then the parameters; the rows of
+        # ``cols`` are y, 1/alpha and w
+        head = [] if ch else [(0.0, 2.0, -1.0)]
+        pairs = n if ch else 2 * n
+        static = head + _param_columns(params)
+        cols = np.ones((3, pairs + len(static)))
+        cols[:, pairs:] = list(zip(*static))
+        self._y, self._inv_alpha, self._w = cols[0, pairs:], cols[1], cols[2]
+        # log1p weights of the leading columns: pairs, self pair, real parameters
+        real = [0.5 * a.real for a in params if a.imag == 0]
+        self._omega = np.full(pairs + len(head) + len(real), 0.25)
+        self._omega[pairs:] = [-0.25] * len(head) + real
+        self._complex = np.array([a for a in params if a.imag != 0])[:, None]
 
-    def _pairs(self, x):
-        pairs = x[:, None, None] + self._signs * x
-        if self._self_pairs is not None:
-            pairs.reshape(-1)[self._self_pairs] = 0.0
-        return pairs
+    def _table(self, x):
+        y = np.concatenate((x, -x, self._y) if self._sums else (x, self._y))
+        arg = x[:, None] - y
+        arg *= self._inv_alpha
+        return arg
 
     def _prepare(self, x):
-        z = x / self._a
-        grad_params = np.arctan(z).real.sum(axis=0) + self._linear
-        pairs = self._pairs(x)
-        return z, grad_params, pairs, np.arctan(pairs)
+        arg = self._table(x)
+        return arg, self._neg_linear - np.arctan(arg) @ self._w
 
     def _value(self, x, pre):
-        z, grad_params, pairs, arctan_pairs = pre
-        v = x @ grad_params - 0.5 * (self._a * np.log1p(z * z)).real.sum()
-        # every pair (j, k) appears twice, so the pair terms are half the
-        # full sum of F
-        v += 0.5 * np.vdot(pairs, arctan_pairs) - 0.25 * np.log1p(pairs * pairs).sum()
+        arg, rhs = pre
+        v = -(x @ rhs) - np.log1p(np.square(arg[:, : self._omega.size])).sum(axis=0) @ self._omega
+        if self._complex.size:
+            z = x / self._complex
+            v -= 0.5 * (self._complex * np.log1p(z * z)).real.sum()
         return float(v)
 
     def _gradient(self, x, pre):
-        return pre[1] + pre[3].sum(axis=(1, 2))
+        return -pre[1]
 
     def _rhs(self, x, pre):
-        return -self._gradient(x, pre)
+        return pre[1]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        # d/dx arctan(x/a) = Re a / (a^2 + x^2) and F'' = 1 / (1 + u^2); the
-        # self pair, 0 in every sign block, has weight 1 and is taken out
-        lorentz = 1.0 / (1.0 + self._pairs(x) ** 2)
-        h = (self._signs * lorentz).sum(axis=1)
-        with np.errstate(over="ignore"):  # a^2 = inf only where the term is ~1/|a| = 0
-            params = (self._a / (self._a * self._a + x * x)).real.sum(axis=0)
-        h[np.diag_indices(x.size)] = params + (lorentz.sum(axis=(1, 2)) - len(self._signs))
+        # d/dx_j arctan((x_j - y_c) / alpha_c) = lorentz[j, c] / alpha_c, and
+        # y_c = +-x_k adds -+lorentz[j, k] in column k
+        n = x.size
+        # arg^2 overflows only for a width alpha so small that the term,
+        # alpha / (x_j - y_c)^2, is 0
+        with np.errstate(over="ignore"):
+            lorentz = 1.0 / (1.0 + np.square(self._table(x)))
+        h = -lorentz[:, :n]
+        if self._sums:
+            h += lorentz[:, n : 2 * n]
+        h.flat[:: n + 1] += lorentz @ (self._w * self._inv_alpha)
         return h
 
 

@@ -117,6 +117,23 @@ def test_diff_eq_residual_huge_parameter_at_exact_roots():
     assert diff_eq_residual(poly, roots, Family.CH, p) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "residual,params,expected",
+    [
+        (bethe_residual_ch, ContinuousHahnParams(1e200, 1e200), 2e-200),
+        (bethe_residual_w, WilsonParams(1e80, 1e80, 1e80, 1e80), 4e-80),
+    ],
+    ids=["ch", "wilson"],
+)
+def test_bethe_residual_huge_parameters_stay_finite(residual, params, expected):
+    # A(+-x) overflows on its own, the quotient u/w does not: at the non-root
+    # 0.5 each parameter factor is (0.5 + i e) / (-0.5 + i e) = 1 - i/e + ...,
+    # so the residual is ~2/a for continuous Hahn and ~4/a for Wilson
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert residual([0.5], params) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_bethe_residual_non_finite_term_raises(bad):
     with np.errstate(all="ignore"):
