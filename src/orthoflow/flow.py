@@ -4,15 +4,22 @@ The integrator is a classical explicit 4th-order one-step method whose
 step is halved whenever the potential fails to decrease across a step;
 monotone descent is the natural cheap error monitor for these flows.
 
+Every potential is convex on its (convex) domain, so a step from x to x_new
+cannot raise it when the slope grad V(x_new) . (x_new - x) is not positive
+(the first-order condition of convexity). The descent guard is this
+certificate, read off the rhs at x_new (``_Evaluator.slope``), which an
+accepted step reuses as the next step's first stage (first same as last).
+Only when the slope is positive or NaN does the guard fall back to the value
+test, V(x_new) <= V(x) up to ``_DESCENT_SLACK``, evaluating the potential at
+x once per state and at x_new. An accepted step thus costs four evaluations
+and, in nearly every step, no potential. Newton's line search applies the
+same rule with the gradient at its trial, which is also the next gradient.
+
 Each ``integrate`` and ``newton_solve`` call builds one evaluator for its
-(kind, n) (see ``potentials``) and keeps it for the run only. The descent
-test evaluates the potential and the rhs together at the trial state, and
-an accepted trial reuses that rhs as the next step's first stage (first
-same as last), so an accepted RK4 step costs four evaluations. Newton
-likewise takes the next gradient from its accepted line-search trial. At
-the flows' sizes an evaluation costs a few numpy calls on a small table, so
-the step combination is formed in place in one array and the stop test
-calls the array methods directly.
+(kind, n) (see ``potentials``) and keeps it for the run only. At the flows'
+sizes an evaluation costs a few numpy calls on a small table, so the RK4
+stages and the increment are formed in place in one per-run buffer and the
+stop test calls the array methods directly.
 """
 
 from __future__ import annotations
@@ -81,23 +88,38 @@ def _start(x0) -> np.ndarray:
     return x
 
 
-def _rk4_step(rhs, x, h, k1):
-    k2 = rhs(x + 0.5 * h * k1)
-    k3 = rhs(x + 0.5 * h * k2)
-    k4 = rhs(x + h * k3)
-    # x + (h/6)(k1 + 2 k2 + 2 k3 + k4), formed in place in one new array
-    acc = k2 + k3
-    acc *= 2.0
-    acc += k1
-    acc += k4
-    acc *= h / 6.0
-    acc += x
-    return acc
+def _rk4_step(rhs, x, h, k1, buf):
+    """The RK4 increment (h/6)(k1 + 2 k2 + 2 k3 + k4), formed in ``buf``;
+    the stages x + c h k are formed there too, so ``buf`` is overwritten."""
+    k2 = rhs(np.add(np.multiply(k1, 0.5 * h, out=buf), x, out=buf))
+    k3 = rhs(np.add(np.multiply(k2, 0.5 * h, out=buf), x, out=buf))
+    k4 = rhs(np.add(np.multiply(k3, h, out=buf), x, out=buf))
+    np.add(k2, k3, out=buf)
+    buf *= 2.0
+    buf += k1
+    buf += k4
+    buf *= h / 6.0
+    return buf
+
+
+def _value_descends(v: float, v_new: float) -> bool:
+    """The fallback descent test: V(x_new) <= V(x) up to the roundoff slack."""
+    return bool(np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)))
 
 
 def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> Trajectory:
     """Integrate the flow from x0 until t_max or the rhs max-norm drops
-    below grad_tol; the final state is always recorded."""
+    below grad_tol; the final state is always recorded.
+
+    A trial step dx is accepted when the slope grad V(x_new) . dx, read off
+    the rhs at x_new, is not positive: V is convex, so then V(x_new) <=
+    V(x). In floating point a computed slope <= 0 can hide a true slope of
+    about n eps |rhs| |dx|_1 (plus eps |rhs| |x_new|_1 from rounding x + dx),
+    a possible rise in V far below the ``_DESCENT_SLACK`` (1 + |V|) that the
+    value test allows. A positive or NaN slope falls back to that value
+    test, with V(x) evaluated once per state; a step that leaves the domain
+    (``DomainViolation``) or fails both tests is halved.
+    """
     settings = settings or FlowSettings()
     x = _start(x0)
     n = x.size
@@ -108,8 +130,10 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     t = 0.0
     h = settings.step
     times = [0.0]
-    states = [x.copy()]
-    v, k1 = ev.value_rhs(x)
+    states = [x]
+    k1 = ev.rhs(x)
+    v = None  # V(x), evaluated only for the fallback test
+    buf = np.empty(n)
     accepted = 0
 
     while t < settings.t_max - 1e-14:
@@ -118,19 +142,28 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
         h_try = min(h, settings.t_max - t)
         while True:
             try:
-                x_new = _rk4_step(ev.rhs, x, h_try, k1)
-                # first same as last: the descent test's evaluation at the
-                # accepted x_new is k1 of the next step
-                v_new, k1_new = ev.value_rhs(x_new)
+                dx = _rk4_step(ev.rhs, x, h_try, k1, buf)
+                x_new = x + dx
+                # first same as last: the rhs at the accepted x_new is k1 of
+                # the next step
+                k1_new = ev.rhs(x_new)
             except DomainViolation:
-                v_new = np.inf
-            if np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)):
-                break
+                pass
+            else:
+                v_new = None
+                if ev.slope(x_new, k1_new, dx) <= 0.0:
+                    break
+                if v is None:
+                    v = ev.value(x)
+                v_new = ev.value(x_new)
+                if _value_descends(v, v_new):
+                    break
             h_try *= 0.5
             if h_try < _MIN_STEP:
                 raise StepUnderflow(
                     f"step halving underflowed at t={t:.6g} (domain singularity?)"
                 )
+        # x_new is a fresh array that nothing writes to, so it is recorded as is
         x, v, k1 = x_new, v_new, k1_new
         t += h_try
         accepted += 1
@@ -138,23 +171,30 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
         h = min(h_try * 2.0, settings.step)
         if accepted % settings.record_every == 0:
             times.append(t)
-            states.append(x.copy())
+            states.append(x)
 
     if times[-1] < t:
         times.append(t)
-        states.append(x.copy())
+        states.append(x)
     return Trajectory(np.array(times), np.array(states), kind)
 
 
 def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
-    """Damped Newton descent on the potential down to gradient max-norm tol."""
+    """Damped Newton descent on the potential down to gradient max-norm tol.
+
+    The line search halves the damping until a trial descends, by the same
+    rule as ``integrate``: the convexity certificate grad V(x_try) .
+    (x_try - x) <= 0, whose gradient is the next iteration's, and otherwise
+    the value test, with V(x) evaluated once per iterate.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = _start(x0)
     if x.size == 0:
         return x
     ev = evaluator(kind, x.size)
-    v, g = ev.value_gradient(x)
+    g = ev.gradient(x)
+    v = None  # V(x), evaluated only for the fallback test
     for _ in range(max_iter):
         if np.max(np.abs(g)) < tol:
             return x
@@ -168,11 +208,18 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
             x_try = x + damping * step
             try:
                 # the accepted trial also gives the next gradient
-                v_new, g_new = ev.value_gradient(x_try)
+                g_new = ev.gradient(x_try)
             except DomainViolation:
-                v_new = np.inf
-            if np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)):
-                break
+                pass
+            else:
+                v_new = None
+                if g_new.dot(x_try - x) <= 0.0:
+                    break
+                if v is None:
+                    v = ev.value(x)
+                v_new = ev.value(x_try)
+                if _value_descends(v, v_new):
+                    break
             damping *= 0.5
         else:
             raise SingularHessian("damped Newton step failed to decrease the potential")

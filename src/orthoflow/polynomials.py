@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DegenerateParameters, PrecisionLoss
 from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 
-#: absolute floor below which a Pochhammer denominator counts as vanished
+#: absolute floor below which the series' leading coefficient counts as vanished
 _DEGENERACY_TOL = 1e-12
 
 #: scaled tolerance for discarding imaginary coefficient residue
@@ -150,9 +150,12 @@ def _divide(re, im, den, shifts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_denominators(factors, n: int):
+    # a sum of two doubles is 0 only when it is exactly 0, so this test is
+    # exact: a small but nonzero factor is summed without loss by the
+    # exact series
     for z in factors:
         for j in range(n):
-            if abs(complex(z) + j) < _DEGENERACY_TOL:
+            if complex(z) + j == 0:
                 raise DegenerateParameters(
                     f"Pochhammer factor ({complex(z)})_{n} vanishes at offset {j}"
                 )

@@ -8,10 +8,11 @@ Values, gradients, Hessians and flow right-hand sides come from one
 evaluator per (kind, n), built by ``evaluator``. It precomputes what does
 not depend on the configuration: the linear term, the branch-cut check and
 the columns of the Morse table (see ``_MorseEvaluator``). The value reuses
-the rhs that the same evaluation computes, so the flow's descent test gets
-the potential and the next rhs from one evaluation. The public functions
-build a fresh evaluator per call; the integrator and Newton build one per
-run.
+the rhs that the same evaluation computes. Every potential is convex, so the
+flow's descent test reads the slope grad V . dx off the rhs it needs anyway
+(``_Evaluator.slope``) and evaluates the potential only when that slope is
+positive. The public functions build a fresh evaluator per call; the
+integrator and Newton build one per run.
 
 Complex parameters enter the gradient and the Hessian through the real
 identity, for a = alpha + i beta with alpha > 0,
@@ -97,7 +98,15 @@ class _Evaluator:
     ``__init__`` precomputes everything that does not depend on x;
     ``_prepare(x)`` does the work that the value, the gradient and the rhs
     share, so asking for the value with the gradient or the rhs costs one
-    evaluation, not two.
+    evaluation, not two. An evaluator may keep per-run buffers, so it serves
+    one run at a time.
+
+    Every potential is convex on its domain, and the Jacobi domain of
+    increasing configurations in (-1, 1) is convex too. So for x, x_new in
+    the domain, V(x_new) <= V(x) + grad V(x_new) . (x_new - x) (the first
+    order condition of convexity), and a non-positive ``slope`` at x_new
+    along the step certifies that the step did not raise the potential
+    without evaluating it.
     """
 
     def value(self, x: np.ndarray) -> float:
@@ -118,6 +127,10 @@ class _Evaluator:
         pre = self._prepare(x)
         return self._value(x, pre), self._rhs(x, pre)
 
+    def slope(self, x: np.ndarray, rhs: np.ndarray, dx: np.ndarray) -> float:
+        """grad V(x) . dx, from the flow rhs at x; here rhs = -grad V."""
+        return -rhs.dot(dx)
+
 
 class _MorseEvaluator(_Evaluator):
     """Continuous Hahn, Wilson and the parity-reduced systems:
@@ -129,7 +142,9 @@ class _MorseEvaluator(_Evaluator):
     F = antideriv_arctan. A parity-reduced system is the Wilson flow whose
     parameters are (a, b) and the registry's extra ``wilson_cd``; an extra
     parameter 0 enters as its one-sided limit on y > 0, A_0(y) = (pi/2) y,
-    which adds pi/2 to every c_j and nothing to the Hessian.
+    which adds pi/2 to every c_j and nothing to the Hessian. V is convex:
+    F''(u) = 1 / (1 + u^2) > 0, Re A_a''(x) = Re [a / (a^2 + x^2)] > 0 for
+    Re a > 0, and the zero extra parameter adds only a linear term.
 
     Every arctan of the gradient is a column of one real n x K table
     arg[j, c] = (x_j - y_c) / alpha_c, in this order: the pair differences
@@ -162,13 +177,15 @@ class _MorseEvaluator(_Evaluator):
         self._sums = not ch
         # after the pairs: for the Wilson systems the self pair, a column at
         # y = 0 of width 1/2 and weight -1, then the parameters; the rows of
-        # ``cols`` are y, 1/alpha and w
+        # ``cols`` are y, 1/alpha and w. The y row and the table are per-run
+        # buffers: ``_table`` writes the pair shifts +-x and the table in place
         head = [] if ch else [(0.0, 2.0, -1.0)]
         pairs = n if ch else 2 * n
         static = head + _param_columns(params)
         cols = np.ones((3, pairs + len(static)))
         cols[:, pairs:] = list(zip(*static))
-        self._y, self._inv_alpha, self._w = cols[0, pairs:], cols[1], cols[2]
+        self._y, self._inv_alpha, self._w = cols
+        self._arg = np.empty((n, cols.shape[1]))
         # log1p weights of the leading columns: pairs, self pair, real parameters
         real = [0.5 * a.real for a in params if a.imag == 0]
         self._omega = np.full(pairs + len(head) + len(real), 0.25)
@@ -176,18 +193,21 @@ class _MorseEvaluator(_Evaluator):
         self._complex = np.array([a for a in params if a.imag != 0])[:, None]
 
     def _table(self, x):
-        y = np.concatenate((x, -x, self._y) if self._sums else (x, self._y))
-        arg = x[:, None] - y
+        n = x.size
+        self._y[:n] = x
+        if self._sums:
+            np.negative(x, out=self._y[n : 2 * n])
+        arg = np.subtract.outer(x, self._y, out=self._arg)
         arg *= self._inv_alpha
         return arg
 
     def _prepare(self, x):
         arg = self._table(x)
-        return arg, self._neg_linear - np.arctan(arg) @ self._w
+        return arg, self._neg_linear - np.arctan(arg).dot(self._w)
 
     def _value(self, x, pre):
         arg, rhs = pre
-        v = -(x @ rhs) - np.log1p(np.square(arg[:, : self._omega.size])).sum(axis=0) @ self._omega
+        v = -x.dot(rhs) - np.log1p(np.square(arg[:, : self._omega.size])).sum(axis=0).dot(self._omega)
         if self._complex.size:
             z = x / self._complex
             v -= 0.5 * (self._complex * np.log1p(z * z)).real.sum()
@@ -222,7 +242,8 @@ class _JacobiEvaluator(_Evaluator):
 
     whose flow is the mobility-weighted ``electrostatic_rhs``. Every
     evaluation checks the domain; its ``DomainViolation`` is what makes the
-    integrator halve a step that leaves (-1, 1).
+    integrator halve a step that leaves (-1, 1). V is convex on the domain:
+    -log is convex, and alpha, beta > -1 make both boundary weights positive.
     """
 
     def __init__(self, p: JacobiParams, n: int):
@@ -247,6 +268,10 @@ class _JacobiEvaluator(_Evaluator):
 
     def _rhs(self, x, d):
         return electrostatic_drift(self._p, x, d)
+
+    def slope(self, x: np.ndarray, rhs: np.ndarray, dx: np.ndarray) -> float:
+        """grad V(x) . dx, from rhs = 2 (x^2 - 1) grad V."""
+        return 0.5 * (rhs / (x * x - 1.0)).dot(dx)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         cd = 1.0 / differences(x) ** 2

@@ -229,3 +229,10 @@ def test_verify_small_real_part_passes(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_bethe_residual"] <= 1e-12
     assert payload["max_diff_eq_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6, 7])
+@pytest.mark.parametrize("a,b", [("1e-13", "1"), ("1", "1e-13")])
+def test_verify_small_real_part_in_either_order(a, b, n, capsys):
+    code = main(["verify", "--family", "ch", "--n", str(n), "--a", a, "--b", b])
+    assert code == EXIT_OK, capsys.readouterr().err

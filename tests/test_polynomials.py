@@ -206,3 +206,15 @@ def test_real_scalar_products_leave_the_series_unchanged(n, seed, monkeypatch):
     monkeypatch.setattr(polynomials, "_gmul", _four_product_gmul)
     for (monic, p), coeffs in zip(draws, fast):
         assert np.array_equal(monic(n, p).coeffs, coeffs), (monic.__name__, p)
+
+
+@pytest.mark.parametrize("a,b", [(1e-13, 1.0), (6e-13, 6e-13), (4e-13, 2.0),
+                                 (1e-13 + 1j, 1e-13 - 1j)])
+def test_small_real_parts_sum_in_either_order(a, b):
+    # a Pochhammer factor vanishes only when it is exactly 0, so a small
+    # real part raises nothing and the polynomial is symmetric in a <-> b
+    for n in range(20):
+        p = monic_continuous_hahn(n, ContinuousHahnParams(a, b))
+        q = monic_continuous_hahn(n, ContinuousHahnParams(b, a))
+        assert p.variable_kind == q.variable_kind
+        assert np.array_equal(p.coeffs, q.coeffs)
