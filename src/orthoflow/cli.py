@@ -132,9 +132,10 @@ def _settings(args) -> FlowSettings:
 
 def _precision(args) -> int:
     env = os.environ.get("ORTHOFLOW_PRECISION")
-    if env is not None:
-        return int(env)
-    return args.precision
+    prec = args.precision if env is None else int(env)
+    if prec < 0:
+        raise ParameterError(f"the precision must be nonnegative, got {prec}")
+    return prec
 
 
 def _params_dict(kind: PotentialKind) -> dict:
@@ -145,6 +146,16 @@ def _cnum(z: complex):
     return z.real if z.imag == 0 else {"re": z.real, "im": z.imag}
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a
+    parameter error (exit 2), not a traceback."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_series(path: str, times, values, prefix: str) -> None:
     """One row per sample: t, then the n values, each as %.17g (which
     round-trips doubles); columns t, {prefix}1 .. {prefix}n."""
@@ -152,8 +163,7 @@ def _write_series(path: str, times, values, prefix: str) -> None:
     header = ",".join(["t"] + [f"{prefix}{j}" for j in range(1, n + 1)])
     fmt = ",".join(["%.17g"] * (n + 1))
     rows = np.column_stack([times, values]).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join([header] + [fmt % tuple(row) for row in rows]) + "\n")
+    _write_text(path, "\n".join([header] + [fmt % tuple(row) for row in rows]) + "\n")
 
 
 def write_logerr(path: str, traj: Trajectory, eq: np.ndarray) -> None:
@@ -170,15 +180,14 @@ def _write_json(payload: dict, path: str | None, echo: bool = True) -> None:
     if echo:
         sys.stdout.write(text)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(path, text)
 
 
 def cmd_roots(args) -> int:
     kind = _build_kind(args)
+    prec = _precision(args)
     eq = newton_solve(kind, _initial_condition(args, kind), tol=args.grad_tol)
     roots = np.sort(eq)
-    prec = _precision(args)
     for idx, root in enumerate(roots, start=1):
         # a root that prints as zero prints without the sign of its roundoff
         if abs(root) < 0.5 * 10.0**-prec:
@@ -186,8 +195,7 @@ def cmd_roots(args) -> int:
         print(f"x[{idx}] = {root:.{prec}f}")
     if args.output and args.format == "csv":
         rows = [f"{i},{r!r}" for i, r in enumerate(roots.tolist(), 1)]
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            fh.write("\n".join(["index,root"] + rows) + "\n")
+        _write_text(args.output, "\n".join(["index,root"] + rows) + "\n")
     elif args.output:
         # the bound and the Hessian have no value for the empty configuration
         payload = {
@@ -233,6 +241,13 @@ def cmd_verify(args) -> int:
         if payload[key] > tol:
             print(f"verification failed: {key} = {payload[key]:.3e} > {tol:.0e}", file=sys.stderr)
             return EXIT_NUMERICAL
+    # the Hessian of a strictly convex potential is positive definite: a
+    # negative eigenvalue is roundoff swamping it, not a verified minimum
+    if not payload["hessian_min_eigenvalue"] > 0:
+        value = payload["hessian_min_eigenvalue"]
+        print(f"verification failed: hessian_min_eigenvalue = {value:.3e} is not positive",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -46,10 +46,10 @@ class FlowSettings:
     record_every: int = 1
 
     def __post_init__(self):
-        if not (0 < self.step < self.t_max):
-            raise ValueError("require 0 < step < t_max")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not (0 < self.step < self.t_max < np.inf):
+            raise ValueError("require 0 < step < t_max, t_max finite")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be finite and positive")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
 
@@ -187,8 +187,8 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
     (x_try - x) <= 0, whose gradient is the next iteration's, and otherwise
     the value test, with V(x) evaluated once per iterate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     x = _start(x0)
     if x.size == 0:
         return x

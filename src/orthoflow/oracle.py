@@ -2,9 +2,13 @@
 
 The companion oracle is the independent check: it finds the roots of the
 series polynomial from its coefficients, as companion-matrix eigenvalues
-Newton-polished with exact integer evaluation of the polynomial. The Bethe
-product identities and the difference equation at the nodes are one
-identity in two normalisations. With u_j = A(x_j) p(x_j + i) / p'(x_j) and
+Newton-polished with exact integer evaluation of the polynomial. An even or
+odd polynomial x^r q(x^2), such as a symmetric continuous Hahn one, is
+solved as q, at half the degree: half the roots, each polished with half the
+terms.
+
+The Bethe product identities and the difference equation at the nodes are
+one identity in two normalisations. With u_j = A(x_j) p(x_j + i) / p'(x_j) and
 w_j = A(-x_j) p(x_j - i) / p'(x_j), the difference equation is
 u_j + w_j = 0 and the Bethe identity is u_j / w_j = -1, so one product pass
 (``_node_terms``) serves both. It forms each p(x_j + i) / p'(x_j) as a
@@ -96,17 +100,26 @@ def companion_roots(poly: MonicPoly) -> np.ndarray:
     then Newton-polished with exact evaluation of the polynomial.
 
     For polynomials in x**2 the roots in x**2 must all be positive; the
-    positive square roots are returned.
+    positive square roots are returned. A polynomial in x of degree n > 1
+    whose coefficients of the other parity than n are all exactly 0 is
+    p(x) = x^r q(x**2), r = n mod 2: unless q(0) = 0, its roots are found as
+    those of q, at half the degree, and returned as -sqrt(y) (reversed),
+    0.0 when r = 1, and sqrt(y).
     """
     if poly.degree < 1:
         raise ValueError("degree must be at least 1")
-    raw = np.roots(poly.coeffs[::-1])
+    c, r = poly.coeffs, poly.degree % 2
+    if (poly.variable_kind is VariableKind.X and poly.degree > 1 and c[r] != 0
+            and not np.any(c[1 - r::2])):
+        y = companion_roots(MonicPoly(c[r::2], VariableKind.X_SQUARED))
+        return np.concatenate([-y[::-1], np.zeros(r), y])
+    raw = np.roots(c[::-1])
     if not np.all(np.isfinite(raw)):
         raise PrecisionLoss("companion eigenvalues are not finite")
     scale = 1.0 + np.abs(raw.real)
     if np.any(np.abs(raw.imag) > _IMAG_ROOT_TOL * scale):
         raise ComplexRoots("companion roots have non-negligible imaginary parts")
-    roots = np.sort(_newton_polish(poly.coeffs, raw.real))
+    roots = np.sort(_newton_polish(c, raw.real))
     if poly.variable_kind is VariableKind.X_SQUARED:
         if np.any(roots <= 0):
             raise ComplexRoots("x^2-roots must be positive inside the orthogonality regime")

@@ -10,6 +10,12 @@ precision has to be chosen. The conjugate-pair parameter constraints make
 the imaginary parts vanish (up to the conjugacy tolerance of the parameter
 records), which is asserted rather than silently truncated.
 
+The Horner scheme over the terms multiplies the coefficient array by one
+polynomial factor per step; the other per-term factors enter through exact
+prefix products of scalars (``_series``). The Wilson series is summed around
+a real parameter where one can serve (``_pivot``), which makes that factor
+real.
+
 Only the Wilson 4F3 and the Jacobi 2F1 are summed. The symmetric continuous
 Hahn polynomials are Wilson polynomials in x^2 (Koekoek, Lesky & Swarttouw
 2010, sections 9.1 and 9.4): CH_2m(x) = W_m(x^2; a, b, 1/2, 0) and
@@ -91,8 +97,9 @@ def _exact_to_float(nums, dens) -> np.ndarray:
 
 def _gmul(x, y):
     """Product of Gaussian integers given as (re, im) pairs; the parts of
-    ``y`` may be object arrays. A real ``x`` (every y-shift in ``_series``,
-    every factor of a real-parameter series) costs two products, not four."""
+    ``y`` may be object arrays. A real ``x`` (the Jacobi y-shift in
+    ``_series``, every factor of a real-pivot series) costs two products, not
+    four."""
     if not x[1]:
         return (x[0] * y[0], x[0] * y[1])
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
@@ -118,23 +125,31 @@ def _series(upper, lower, const, lin):
     for length-n lists of Gaussian integers (re, im). Returns the ascending
     coefficients in y as a pair (re, im) of integer object arrays.
 
-    Horner over k: H_n = (-1)^n and H_k = (-1)^k C(n, k) L_k +
-    upper[k] (const[k] + lin y) H_{k+1}, with L_k the product of lower[j], j >= k.
+    Horner over k: H_n = s_n and H_k = s_k + (const[k] + lin y) H_{k+1}, with
+    the scalars s_k = (-1)^k C(n, k) U_k L_k, U_k = prod_{j<k} upper[j] (the
+    prefix products) and L_k = prod_{j>=k} lower[j]. The upper factors thus
+    enter through the scalars only: a step multiplies the array by const[k]
+    alone, and by lin unless lin is 1.
     """
     n = len(upper)
-    re = np.array([(-1) ** n], dtype=object)
-    im = np.array([0], dtype=object)
+    prefix = [(1, 0)]
+    for u in upper:
+        prefix.append(_gmul(prefix[-1], u))
+    sign = (-1) ** n
+    re = np.array([sign * prefix[n][0]], dtype=object)
+    im = np.array([sign * prefix[n][1]], dtype=object)
     low = (1, 0)
     for k in range(n - 1, -1, -1):
         low = _gmul(low, lower[k])
-        pr, pi = _gmul(_gmul(upper[k], const[k]), (re, im))
-        qr, qi = _gmul(_gmul(upper[k], lin), (re, im))
+        pr, pi = _gmul(const[k], (re, im))
+        qr, qi = (re, im) if lin == (1, 0) else _gmul(lin, (re, im))
         re, im = np.append(pr, 0), np.append(pi, 0)
         re[1:] += qr
         im[1:] += qi
         c = (-1) ** k * comb(n, k)
-        re[0] += c * low[0]
-        im[0] += c * low[1]
+        s = _gmul(prefix[k], low)
+        re[0] += c * s[0]
+        im[0] += c * s[1]
     return re, im
 
 
@@ -209,16 +224,35 @@ def monic_continuous_hahn(n: int, p: ContinuousHahnParams) -> MonicPoly:
     return MonicPoly(coeffs)
 
 
+def _pivot(values) -> int:
+    """Index of the parameter the Wilson series is summed around: a itself
+    when it is real, else the largest positive real parameter, if any, else a.
+
+    A non-real a, like a positive pivot, has a positive real part, and so
+    has its sum with any other parameter: no factor (a+e)_n vanishes. Only
+    the sums of a real a = 0 can, and that a stays the pivot, so the series
+    raises ``DegenerateParameters`` on exactly the inputs it would with a.
+    """
+    if values[0].imag == 0:
+        return 0
+    real = [i for i, v in enumerate(values) if v.imag == 0 and v.real > 0]
+    return max(real, key=lambda i: values[i].real, default=0)
+
+
 def monic_wilson(n: int, p: WilsonParams) -> MonicPoly:
     """Monic Wilson polynomial of degree n in x**2.
 
     The factor (a+ix)_k (a-ix)_k of the 4F3 series is expanded as a
-    polynomial in x**2 and the series is summed exactly.
+    polynomial in x**2 and the series is summed exactly. The polynomial is
+    symmetric in (a, b, c, d), so the series' a is the pivot of ``_pivot``:
+    with a real pivot every factor (a+j)^2 + x^2 is real.
     """
     _check_degree(n)
     if n == 0:
         return MonicPoly(np.array([1.0]), VariableKind.X_SQUARED)
-    _check_denominators([p.a + p.b, p.a + p.c, p.a + p.d], n)
+    pivot = _pivot(p.values)
+    others = [v for i, v in enumerate(p.values) if i != pivot]
+    _check_denominators([p.values[pivot] + e for e in others], n)
     _check_denominators([n + p.a + p.b + p.c + p.d - 1], n)
 
     # with D = 2**sh, term k times (e1)_n (e2)_n (e3)_n is D^-3n times an
@@ -226,6 +260,7 @@ def monic_wilson(n: int, p: WilsonParams) -> MonicPoly:
     # (a+j)^2 + x^2 = D^-2 ((A+jD)^2 + v)
     vals, sh = _gaussian(p.values)
     d = 1 << sh
+    vals.insert(0, vals.pop(pivot))
     a = vals[0]
     sigma = ((n - 1) * d + sum(z[0] for z in vals), sum(z[1] for z in vals))
     upper = _rising(sigma, d, n)

@@ -236,3 +236,52 @@ def test_verify_small_real_part_passes(capsys):
 def test_verify_small_real_part_in_either_order(a, b, n, capsys):
     code = main(["verify", "--family", "ch", "--n", str(n), "--a", a, "--b", b])
     assert code == EXIT_OK, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--family", "ch", "--n", "3", "--a", "1", "--b", "1", "--format", "csv"],
+    ["roots", "--family", "ch", "--n", "3", "--a", "1", "--b", "1"],
+    ["flow", "--family", "ch", "--n", "3", "--a", "1", "--b", "1", "--t-max", "5"],
+    ["verify", "--family", "ch", "--n", "3", "--a", "1", "--b", "1"],
+    ["rate", "--family", "ch", "--n", "8", "--a", "1", "--b", "1"],
+])
+def test_unwritable_output_exits_2_with_a_message(argv, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "out.csv")
+    assert main(argv + ["--output", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--grad-tol", "nan"],
+    ["roots", "--grad-tol", "inf"],
+    ["roots", "--precision", "-1"],
+    ["flow", "--grad-tol", "nan", "--output", "unused.csv"],
+    ["rate", "--t-max", "inf"],
+])
+def test_non_finite_or_negative_options_exit_2(argv, capsys):
+    code = main(argv[:1] + ["--family", "ch", "--n", "3", "--a", "1", "--b", "1"] + argv[1:])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_negative_precision_has_its_own_message(capsys):
+    code = main(["roots", "--family", "ch", "--n", "3", "--a", "1", "--b", "1", "--precision", "-1"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: the precision must be nonnegative, got -1\n"
+
+
+def test_verify_fails_on_a_negative_hessian_eigenvalue(capsys):
+    # a = 1e-100 puts ~1e100 on the Hessian's diagonal; its smallest computed
+    # eigenvalue is roundoff of that size, and negative
+    code = main(["verify", "--family", "ch", "--n", "5", "--a", "1e-100", "--b", "1"])
+    assert code == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert json.loads(out)["hessian_min_eigenvalue"] < 0
+    assert err.startswith("verification failed: hessian_min_eigenvalue = -")
+    assert err.endswith(" is not positive\n")
+
+
+def test_verify_odd_degree_half_degree_oracle(capsys):
+    code = main(["verify", "--family", "ch", "--n", "41", "--a", "1", "--b", "1"])
+    assert code == EXIT_OK, capsys.readouterr().err
