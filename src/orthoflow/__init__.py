@@ -20,7 +20,6 @@ from .flow import (
     Trajectory,
     default_start,
     embed,
-    flow_rhs,
     integrate,
     newton_solve,
     solve_roots,
@@ -39,7 +38,6 @@ from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 from .polynomials import (
     MonicPoly,
     VariableKind,
-    eval_poly,
     monic_continuous_hahn,
     monic_jacobi,
     monic_wilson,
@@ -47,10 +45,8 @@ from .polynomials import (
 from .potentials import (
     FlowFamily,
     PotentialKind,
-    antideriv_arctan,
     gradient,
     hessian,
-    pair_arctan,
     potential,
 )
 from .rates import (

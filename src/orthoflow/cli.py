@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .errors import OrthoflowError, ParameterError
-from .flow import FlowSettings, Trajectory, newton_solve, solve_roots
+from .flow import FlowSettings, Trajectory, default_start, newton_solve, solve_roots
 from .jacobi_baseline import equispaced_start, in_domain
 from .oracle import full_verify, min_eigenvalue_symmetric
 from .params import Family
@@ -108,12 +108,13 @@ def _build_kind(args) -> PotentialKind:
 def _initial_condition(args, kind: PotentialKind) -> np.ndarray:
     n = args.n
     jacobi = kind.family is Family.JACOBI
-    init = args.init or ("equispaced" if jacobi else "zeros")
-    if init == "custom":
+    if args.init is None:
+        x0 = default_start(kind, n)
+    elif args.init == "custom":
         if args.x0 is None:
             raise ParameterError("--init custom requires --x0")
         x0 = _parse_init_list(args.x0, n)
-    elif init == "equispaced":
+    elif args.init == "equispaced":
         x0 = equispaced_start(n)
     else:  # zeros
         if jacobi:

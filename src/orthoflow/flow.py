@@ -75,12 +75,6 @@ class Trajectory:
         object.__setattr__(self, "states", s)
 
 
-def flow_rhs(kind: PotentialKind, x) -> np.ndarray:
-    """dx/dt of the flow: -gradient, except the mobility-weighted Jacobi case."""
-    x = np.asarray(x, dtype=float)
-    return evaluator(kind, x.size).rhs(x)
-
-
 def _start(x0) -> np.ndarray:
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):

@@ -123,7 +123,8 @@ def _series(upper, lower, const, lin):
         (-1)^k C(n, k) prod_{j<k} upper[j] prod_{k<=j<n} lower[j] prod_{j<k} (const[j] + lin y)
 
     for length-n lists of Gaussian integers (re, im). Returns the ascending
-    coefficients in y as a pair (re, im) of integer object arrays.
+    coefficients in y as a pair (re, im) of integer object arrays, and the
+    product U_n of all the upper factors.
 
     Horner over k: H_n = s_n and H_k = s_k + (const[k] + lin y) H_{k+1}, with
     the scalars s_k = (-1)^k C(n, k) U_k L_k, U_k = prod_{j<k} upper[j] (the
@@ -150,7 +151,7 @@ def _series(upper, lower, const, lin):
         s = _gmul(prefix[k], low)
         re[0] += c * s[0]
         im[0] += c * s[1]
-    return re, im
+    return re, im, prefix[n]
 
 
 def _divide(re, im, den, shifts) -> tuple[np.ndarray, np.ndarray]:
@@ -266,11 +267,11 @@ def monic_wilson(n: int, p: WilsonParams) -> MonicPoly:
     upper = _rising(sigma, d, n)
     es = [(a[0] + e[0], a[1] + e[1]) for e in vals[1:]]  # a+b, a+c, a+d
     lower = [_gprod(f) for f in zip(*(_rising(e, d, n) for e in es))]
-    re, im = _series(upper, lower, [_gmul(z, z) for z in _rising(a, d, n)], (1, 0))
+    re, im, upper_n = _series(upper, lower, [_gmul(z, z) for z in _rising(a, d, n)], (1, 0))
     # coefficient of x^(2m): (-1)^n D^(2m-2n) v_m / (n+sigma-1)_n
     if n % 2:
         re, im = -re, -im
-    re, im = _divide(re, im, _gprod(upper), 2 * sh * (n - np.arange(n + 1)))
+    re, im = _divide(re, im, upper_n, 2 * sh * (n - np.arange(n + 1)))
     return _monic(_to_real(re, im), VariableKind.X_SQUARED)
 
 
@@ -287,15 +288,6 @@ def monic_jacobi(n: int, p: JacobiParams) -> MonicPoly:
     d = 1 << sh
     upper = _rising(((n + 1) * d + al + be, 0), d, n)
     lower = [(2 * z[0], 0) for z in _rising((d + al, 0), d, n)]
-    re, _ = _series(upper, lower, [(1, 0)] * n, (-1, 0))
+    re = _series(upper, lower, [(1, 0)] * n, (-1, 0))[0]
     den = factorial(n) << (n * sh + n)
     return _monic(_exact_to_float(re, [den] * (n + 1)), VariableKind.X)
-
-
-def eval_poly(poly: MonicPoly, x: complex) -> complex:
-    """Horner evaluation; squares the argument first for x**2 polynomials."""
-    z = x * x if poly.variable_kind is VariableKind.X_SQUARED else x
-    out = 0.0 + 0.0j if isinstance(z, complex) else 0.0
-    for c in poly.coeffs[::-1]:
-        out = out * z + c
-    return out

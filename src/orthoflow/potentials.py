@@ -4,12 +4,13 @@ A ``PotentialKind`` pairs a member of the ``params.Family`` registry with a
 parameter record of that member's ``params_type``; the parity-reduced
 systems run the Wilson formulas with the registry's extra parameters.
 
-Values, gradients, Hessians and flow right-hand sides come from one
+Flow right-hand sides, gradients, values and Hessians come from one
 evaluator per (kind, n), built by ``evaluator``. It precomputes what does
 not depend on the configuration: the linear term, the branch-cut check and
-the columns of the Morse table (see ``_MorseEvaluator``). The value reuses
-the rhs that the same evaluation computes. Every potential is convex, so the
-flow's descent test reads the slope grad V . dx off the rhs it needs anyway
+the columns of the Morse table (see ``_MorseEvaluator``). Each method
+evaluates what it returns and nothing more; the Morse value reuses the table
+and rhs of its own evaluation. Every potential is convex, so the flow's
+descent test reads the slope grad V . dx off the rhs it needs anyway
 (``_Evaluator.slope``) and evaluates the potential only when that slope is
 positive. The public functions build a fresh evaluator per call; the
 integrator and Newton build one per run.
@@ -56,12 +57,6 @@ class PotentialKind:
             )
 
 
-def antideriv_arctan(x):
-    """Antiderivative of arctan vanishing at 0: x arctan(x) - log(1+x^2)/2."""
-    x = np.asarray(x, dtype=float)
-    return x * np.arctan(x) - 0.5 * np.log1p(x * x)
-
-
 def _check_branch(*params: complex):
     for a in params:
         if a.real == 0:
@@ -83,23 +78,25 @@ def _param_columns(params) -> list[tuple[float, float, float]]:
     return cols
 
 
-def pair_arctan(x, a: complex, b: complex):
-    """Real value of arctan(x/a) + arctan(x/b) for a real or conjugate pair."""
-    a, b = complex(a), complex(b)
-    _check_branch(a, b)
-    y, inv_alpha, w = np.array(_param_columns((a, b))).T
-    x = np.asarray(x, dtype=float)
-    return np.arctan((x[..., None] - y) * inv_alpha) @ w
+def _log1p_square(u: np.ndarray) -> np.ndarray:
+    """log1p(u^2), also where u^2 overflows: there it is 2 log|u| +
+    log1p(u^-2), and every other entry is log1p(square(u)) itself."""
+    with np.errstate(over="ignore"):
+        out = np.log1p(np.square(u))
+    big = np.isinf(out)
+    if big.any():
+        ub = np.abs(u[big])
+        out[big] = 2.0 * np.log(ub) + np.log1p(np.square(1.0 / ub))
+    return out
 
 
 class _Evaluator:
-    """Potential value, gradient, Hessian and flow rhs of one kind at degree n.
+    """Flow rhs, gradient, value and Hessian of one kind at degree n.
 
-    ``__init__`` precomputes everything that does not depend on x;
-    ``_prepare(x)`` does the work that the value, the gradient and the rhs
-    share, so asking for the value with the gradient or the rhs costs one
-    evaluation, not two. An evaluator may keep per-run buffers, so it serves
-    one run at a time.
+    Each subclass defines ``rhs`` (dx/dt of the flow), ``gradient``,
+    ``value`` and ``hessian``; ``__init__`` precomputes everything that does
+    not depend on x. An evaluator may keep per-run buffers, so it serves one
+    run at a time.
 
     Every potential is convex on its domain, and the Jacobi domain of
     increasing configurations in (-1, 1) is convex too. So for x, x_new in
@@ -108,24 +105,6 @@ class _Evaluator:
     along the step certifies that the step did not raise the potential
     without evaluating it.
     """
-
-    def value(self, x: np.ndarray) -> float:
-        return self._value(x, self._prepare(x))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._gradient(x, self._prepare(x))
-
-    def value_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        pre = self._prepare(x)
-        return self._value(x, pre), self._gradient(x, pre)
-
-    def rhs(self, x: np.ndarray) -> np.ndarray:
-        """dx/dt of the flow."""
-        return self._rhs(x, self._prepare(x))
-
-    def value_rhs(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        pre = self._prepare(x)
-        return self._value(x, pre), self._rhs(x, pre)
 
     def slope(self, x: np.ndarray, rhs: np.ndarray, dx: np.ndarray) -> float:
         """grad V(x) . dx, from the flow rhs at x; here rhs = -grad V."""
@@ -139,12 +118,13 @@ class _MorseEvaluator(_Evaluator):
                + sum_{j<k} F(x_j + x_k)           (all but continuous Hahn),
 
     with A_a(x) = x arctan(x/a) - (a/2) log(1 + (x/a)^2) and
-    F = antideriv_arctan. A parity-reduced system is the Wilson flow whose
-    parameters are (a, b) and the registry's extra ``wilson_cd``; an extra
-    parameter 0 enters as its one-sided limit on y > 0, A_0(y) = (pi/2) y,
-    which adds pi/2 to every c_j and nothing to the Hessian. V is convex:
-    F''(u) = 1 / (1 + u^2) > 0, Re A_a''(x) = Re [a / (a^2 + x^2)] > 0 for
-    Re a > 0, and the zero extra parameter adds only a linear term.
+    F(u) = u arctan(u) - log(1 + u^2) / 2. A parity-reduced system is the
+    Wilson flow whose parameters are (a, b) and the registry's extra
+    ``wilson_cd``; an extra parameter 0 enters as its one-sided limit on
+    y > 0, A_0(y) = (pi/2) y, which adds pi/2 to every c_j and nothing to
+    the Hessian. V is convex: F''(u) = 1 / (1 + u^2) > 0,
+    Re A_a''(x) = Re [a / (a^2 + x^2)] > 0 for Re a > 0, and the zero extra
+    parameter adds only a linear term.
 
     Every arctan of the gradient is a column of one real n x K table
     arg[j, c] = (x_j - y_c) / alpha_c, in this order: the pair differences
@@ -152,8 +132,7 @@ class _MorseEvaluator(_Evaluator):
     self pair 2 x_j = x_j / (1/2) with weight -1, which takes the k = j sum
     out again; the real parameters; the complex ones (``_param_columns``).
     The gradient is c + arctan(arg) @ w, and the flow rhs is -gradient.
-    Since F(u) = u arctan(u) - log1p(u^2) / 2 and every pair is counted from
-    both of its ends,
+    Since every pair is counted from both of its ends,
 
         V = x . gradient - sum_c omega_c sum_j log1p(arg[j, c]^2)
             - (1/2) Re sum_{complex a} a sum_j log1p((x_j / a)^2),
@@ -161,6 +140,8 @@ class _MorseEvaluator(_Evaluator):
     with omega = 1/4 on the pair columns, -1/4 on the self pair and a/2 on a
     real parameter. The complex parameters keep their own log term: the
     antiderivative of their two shifted columns cancels catastrophically.
+    Where arg^2 overflows (a width alpha near the underflow threshold),
+    log1p(arg^2) is 2 log|arg| + log1p(arg^-2) (``_log1p_square``).
     """
 
     def __init__(self, kind: PotentialKind, n: int):
@@ -201,23 +182,21 @@ class _MorseEvaluator(_Evaluator):
         arg *= self._inv_alpha
         return arg
 
-    def _prepare(self, x):
-        arg = self._table(x)
-        return arg, self._neg_linear - np.arctan(arg).dot(self._w)
+    def rhs(self, x: np.ndarray) -> np.ndarray:
+        """dx/dt of the flow, -gradient."""
+        return self._neg_linear - np.arctan(self._table(x)).dot(self._w)
 
-    def _value(self, x, pre):
-        arg, rhs = pre
-        v = -x.dot(rhs) - np.log1p(np.square(arg[:, : self._omega.size])).sum(axis=0).dot(self._omega)
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return -self.rhs(x)
+
+    def value(self, x: np.ndarray) -> float:
+        rhs = self.rhs(x)
+        arg = self._arg[:, : self._omega.size]  # the table that rhs filled at x
+        v = -x.dot(rhs) - _log1p_square(arg).sum(axis=0).dot(self._omega)
         if self._complex.size:
             z = x / self._complex
             v -= 0.5 * (self._complex * np.log1p(z * z)).real.sum()
         return float(v)
-
-    def _gradient(self, x, pre):
-        return -pre[1]
-
-    def _rhs(self, x, pre):
-        return pre[1]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         # d/dx_j arctan((x_j - y_c) / alpha_c) = lorentz[j, c] / alpha_c, and
@@ -253,21 +232,18 @@ class _JacobiEvaluator(_Evaluator):
         j = np.arange(n)
         self._upper = np.flatnonzero(j[:, None] < j)  # pairs j < k, row-major
 
-    @staticmethod
-    def _prepare(x):
-        return differences(x)
+    def rhs(self, x: np.ndarray) -> np.ndarray:
+        """dx/dt of the flow, 2 (x^2 - 1) grad V."""
+        return electrostatic_drift(self._p, x, differences(x))
 
-    def _value(self, x, d):
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return -(1.0 / differences(x)).sum(axis=1) - (self._wa / (x - 1.0) + self._wb / (x + 1.0))
+
+    def value(self, x: np.ndarray) -> float:
         # x increasing: x_j - x_k < 0 for j < k
-        v = -np.log(-d.take(self._upper)).sum()
+        v = -np.log(-differences(x).take(self._upper)).sum()
         v -= (self._wa * np.log(1.0 - x) + self._wb * np.log(1.0 + x)).sum()
         return float(v)
-
-    def _gradient(self, x, d):
-        return -(1.0 / d).sum(axis=1) - (self._wa / (x - 1.0) + self._wb / (x + 1.0))
-
-    def _rhs(self, x, d):
-        return electrostatic_drift(self._p, x, d)
 
     def slope(self, x: np.ndarray, rhs: np.ndarray, dx: np.ndarray) -> float:
         """grad V(x) . dx, from rhs = 2 (x^2 - 1) grad V."""

@@ -59,7 +59,7 @@ def value_integrate(kind: PotentialKind, x0, settings: FlowSettings | None = Non
     h = settings.step
     times = [0.0]
     states = [x.copy()]
-    v, k1 = ev.value_rhs(x)
+    v, k1 = ev.value(x), ev.rhs(x)
     accepted = 0
 
     while t < settings.t_max - 1e-14:
@@ -71,7 +71,7 @@ def value_integrate(kind: PotentialKind, x0, settings: FlowSettings | None = Non
                 x_new = value_rk4_step(ev.rhs, x, h_try, k1)
                 # first same as last: the descent test's evaluation at the
                 # accepted x_new is k1 of the next step
-                v_new, k1_new = ev.value_rhs(x_new)
+                v_new, k1_new = ev.value(x_new), ev.rhs(x_new)
             except DomainViolation:
                 v_new = np.inf
             if np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)):
@@ -104,7 +104,7 @@ def value_newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: in
     if x.size == 0:
         return x
     ev = evaluator(kind, x.size)
-    v, g = ev.value_gradient(x)
+    v, g = ev.value(x), ev.gradient(x)
     for _ in range(max_iter):
         if np.max(np.abs(g)) < tol:
             return x
@@ -118,7 +118,7 @@ def value_newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: in
             x_try = x + damping * step
             try:
                 # the accepted trial also gives the next gradient
-                v_new, g_new = ev.value_gradient(x_try)
+                v_new, g_new = ev.value(x_try), ev.gradient(x_try)
             except DomainViolation:
                 v_new = np.inf
             if np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)):
@@ -170,14 +170,14 @@ def test_a_non_positive_slope_certifies_descent(family, n):
 
 def _count_potential(monkeypatch):
     calls = []
-    for name in ("value", "value_rhs", "value_gradient"):
-        method = getattr(potentials._Evaluator, name)
+    for cls in (potentials._MorseEvaluator, potentials._JacobiEvaluator):
+        method = cls.value
 
         def counted(self, x, _method=method):
             calls.append(1)
             return _method(self, x)
 
-        monkeypatch.setattr(potentials._Evaluator, name, counted)
+        monkeypatch.setattr(cls, "value", counted)
     return calls
 
 

@@ -9,7 +9,7 @@ from orthoflow import (
     PotentialKind,
     WilsonParams,
     embed,
-    flow_rhs,
+    gradient,
     integrate,
     newton_solve,
     potential,
@@ -66,7 +66,7 @@ def test_monotone_descent(seed):
     x0 = rng.uniform(-8, 8, 5)
     traj = integrate(kind, x0, FlowSettings(step=0.1, t_max=10.0))
     vals = [potential(kind, s) for s in traj.states]
-    grads = [np.max(np.abs(flow_rhs(kind, s))) for s in traj.states]
+    grads = [np.max(np.abs(gradient(kind, s))) for s in traj.states]
     for v0, v1, g in zip(vals, vals[1:], grads):
         if g > 1e-8:
             assert v1 < v0 + 1e-12 * (1 + abs(v0))
@@ -130,18 +130,18 @@ REDUCED = {"even": FlowFamily.REDUCED_EVEN, "odd": FlowFamily.REDUCED_ODD}
 
 
 def test_reduced_rhs_empty():
-    assert flow_rhs(PotentialKind(REDUCED["odd"], ContinuousHahnParams(1, 1)), []).size == 0
+    assert gradient(PotentialKind(REDUCED["odd"], ContinuousHahnParams(1, 1)), []).size == 0
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_reduced_rhs_matches_full_embedding(parity):
-    # rhs of the full flow at the embedded configuration, restricted to the
-    # last m coordinates, equals the reduced rhs
+    # rhs (= -gradient) of the full flow at the embedded configuration,
+    # restricted to the last m coordinates, equals the reduced rhs
     rng = np.random.default_rng(9)
     p = random_ch_params(rng)
     y = np.sort(rng.uniform(0.2, 6.0, 5))
-    full = flow_rhs(CH(p), embed(parity, y))
-    reduced = flow_rhs(PotentialKind(REDUCED[parity], p), y)
+    full = -gradient(CH(p), embed(parity, y))
+    reduced = -gradient(PotentialKind(REDUCED[parity], p), y)
     assert np.max(np.abs(full[-5:] - reduced)) < 1e-12
 
 

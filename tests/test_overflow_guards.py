@@ -46,8 +46,8 @@ def test_params_reject_non_finite(bad):
             JacobiParams(0.5, bad)
 
 
-def _run(command, a, tmp_path):
-    argv = [command, "--family", "ch", "--n", "5", f"--a={a}", "--b", "1"]
+def _run(command, a, tmp_path, family="ch"):
+    argv = [command, "--family", family, "--n", "5", f"--a={a}", "--b", "1"]
     if command == "flow":
         argv += ["--output", str(tmp_path / "traj.csv")]
     return main(argv)
@@ -65,6 +65,31 @@ def test_cli_huge_parameter_ends_with_an_exit_code(command, tmp_path):
     # a = 1e308 is a valid parameter: roots and flow succeed, verify and
     # rate fail numerically; none may escape as an exception
     assert _run(command, "1e308", tmp_path) in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", ["ch", "ch-even", "ch-odd"])
+@pytest.mark.parametrize("command", ["roots", "verify", "flow", "rate"])
+def test_cli_tiny_parameter_ends_with_a_message(command, family, tmp_path, capsys):
+    # a = 1e-300 is a valid parameter whose table entries (x - y) / a square
+    # past the double range; the potential's value test must stay finite
+    # and silent, so each request exits with a message and no traceback
+    code = _run(command, "1e-300", tmp_path, family)
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_NUMERICAL)
+    assert (out if code == EXIT_OK else err).strip()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.REDUCED_EVEN,
+                                    FlowFamily.REDUCED_ODD], ids=lambda f: f.value)
+def test_potential_of_a_tiny_parameter_is_finite(family):
+    # (x / 1e-300)^2 overflows and (x / 1e-150)^2 does not; the parameter's
+    # term a/2 log1p((x/a)^2) is below 1e-140 at both, so the values agree
+    x = np.array([0.3, 1.1, 2.5, 3.0, 4.2])
+    tiny = potential(PotentialKind(family, ContinuousHahnParams(1e-300, 1.0)), x)
+    small = potential(PotentialKind(family, ContinuousHahnParams(1e-150, 1.0)), x)
+    assert tiny == pytest.approx(small, rel=1e-13)
 
 
 def test_cli_verify_overflowed_residual_is_a_numerical_failure(tmp_path, capsys):

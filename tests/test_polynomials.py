@@ -11,7 +11,6 @@ from orthoflow import (
     VariableKind,
     WilsonParams,
     companion_roots,
-    eval_poly,
     monic_continuous_hahn,
     monic_jacobi,
     monic_wilson,
@@ -136,22 +135,13 @@ def test_quadratic_relations_coefficients(m):
     assert np.max(np.abs(odd.coeffs - expect) / (1.0 + np.abs(expect))) < 1e-8
 
 
-def test_eval_poly_constant():
-    assert eval_poly(MonicPoly(np.array([1.0])), 5.0) == 1.0
-
-
-def test_eval_poly_square_kind():
-    poly = MonicPoly(np.array([-1.0 / 3.0, 1.0]), VariableKind.X_SQUARED)
-    assert eval_poly(poly, 1.0) == pytest.approx(2.0 / 3.0)
-
-
-def test_eval_poly_at_companion_roots():
+def test_companion_roots_are_roots():
     p = random_ch_params(np.random.default_rng(7))
     poly = monic_continuous_hahn(12, p)
     roots = companion_roots(poly)
     scale = np.max(np.abs(poly.coeffs)) * np.max(1.0 + np.abs(roots)) ** 12
     for r in roots:
-        assert abs(eval_poly(poly, r)) <= 1e-8 * scale
+        assert abs(np.polyval(poly.coeffs[::-1], r)) <= 1e-8 * scale
 
 
 def test_degenerate_denominator_detection():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from orthoflow import (
@@ -10,10 +9,8 @@ from orthoflow import (
     JacobiParams,
     PotentialKind,
     WilsonParams,
-    antideriv_arctan,
     gradient,
     hessian,
-    pair_arctan,
     potential,
 )
 
@@ -39,35 +36,16 @@ def random_config(kind, rng, n=5):
     return rng.uniform(-6, 6, n)
 
 
-def test_antideriv_arctan_at_zero():
-    assert antideriv_arctan(0.0) == 0.0
-
-
-def test_antideriv_arctan_at_one():
-    assert antideriv_arctan(1.0) == pytest.approx(np.pi / 4 - np.log(2) / 2)
-
-
-@given(st.floats(-100, 100))
-def test_antideriv_arctan_even(x):
-    assert antideriv_arctan(-x) == pytest.approx(antideriv_arctan(x), rel=1e-12)
-
-
-def test_pair_arctan_zero():
-    assert pair_arctan(0.0, 2 + 1j, 2 - 1j) == 0.0
-
-
-def test_pair_arctan_unit():
-    assert pair_arctan(1.0, 1.0, 1.0) == pytest.approx(np.pi / 2)
-
-
 @pytest.mark.parametrize("x", [0.3, 1.0, 4.7])
-def test_pair_arctan_conjugate_pair_quadrature(x):
-    # independent quadrature of the real integrand 2 Re(a/(a^2+t^2)),
-    # which is d/dt of the pair arctan sum
+def test_conjugate_pair_gradient_quadrature(x):
+    # the n = 1 CH gradient is the pair arctan sum Re arctan(x/a) +
+    # Re arctan(x/b), built from two shifted real columns per parameter;
+    # independent quadrature of its derivative 2 Re(a/(a^2+t^2))
     a = 1 + 1j
+    kind = PotentialKind(FlowFamily.CONTINUOUS_HAHN, ContinuousHahnParams(a, a.conjugate()))
     integrand = lambda t: 2.0 * (a / (a * a + t * t)).real
     expected, _ = quad(integrand, 0.0, x)
-    assert pair_arctan(x, a, a.conjugate()) == pytest.approx(expected, rel=1e-9)
+    assert gradient(kind, [x])[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_ch_potential_vanishes_at_origin_n1():
