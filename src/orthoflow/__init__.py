@@ -20,11 +20,11 @@ from .flow import (
     Trajectory,
     default_start,
     embed,
+    equispaced_start,
     integrate,
     newton_solve,
     solve_roots,
 )
-from .jacobi_baseline import equispaced_start, jacobi_kappa, electrostatic_rhs
 from .oracle import (
     VerificationReport,
     bethe_residual_ch,
@@ -45,12 +45,14 @@ from .polynomials import (
 from .potentials import (
     FlowFamily,
     PotentialKind,
+    electrostatic_rhs,
     gradient,
     hessian,
     potential,
 )
 from .rates import (
     RateReport,
+    jacobi_kappa,
     kappa_bound,
     kappa_continuous_hahn,
     kappa_continuous_hahn_symmetric,

@@ -25,11 +25,11 @@ import sys
 import numpy as np
 
 from .errors import OrthoflowError, ParameterError
-from .flow import FlowSettings, Trajectory, default_start, newton_solve, solve_roots
-from .jacobi_baseline import equispaced_start, in_domain
+from .flow import (FlowSettings, Trajectory, default_start, equispaced_start, newton_solve,
+                   solve_roots)
 from .oracle import full_verify, min_eigenvalue_symmetric
 from .params import Family
-from .potentials import PotentialKind, hessian
+from .potentials import PotentialKind, hessian, in_domain
 from .rates import kappa_bound, kappa_continuous_hahn_symmetric, measure_decay
 
 EXIT_OK = 0

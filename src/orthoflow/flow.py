@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, MaxIterations, SingularHessian, StepUnderflow
-from .jacobi_baseline import equispaced_start
 from .params import Family
 from .potentials import PotentialKind, evaluator
 
@@ -232,6 +231,12 @@ def embed(parity: str, y) -> np.ndarray:
     if parity == "odd":
         return np.concatenate([-y[::-1], [0.0], y])
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+
+
+def equispaced_start(n: int) -> np.ndarray:
+    """Equispaced interior grid -1 + 2j/(n+1), a valid ordered start."""
+    j = np.arange(1, n + 1)
+    return -1.0 + 2.0 * j / (n + 1)
 
 
 def default_start(kind: PotentialKind, n: int) -> np.ndarray:

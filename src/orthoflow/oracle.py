@@ -188,8 +188,15 @@ def _node_terms(roots, family: Family, params):
         values, squared = params.values, True
         a, b, c, d = values
         lam = -n * (n + a + b + c + d - 1)
-        if np.any(np.abs(roots) < _SINGULAR_TOL):
+        # A(x) = prod_v (x + i v) / (2 x (2 x + i)); a parameter v = 0 gives
+        # the factor x, which cancels the pole at x = 0, so only a node
+        # exactly at 0, where p'(x) of a polynomial in x^2 vanishes, is singular
+        pole = 0 not in values
+        if np.any(np.abs(roots) < _SINGULAR_TOL if pole else roots == 0):
             raise SingularFactor("Wilson A(x) is singular at x = 0")
+        if not pole:
+            values = list(values)
+            values.remove(0)
     else:
         raise ValueError(f"unsupported family {family}")
     e = 1j * np.array(values, dtype=complex)
@@ -199,7 +206,7 @@ def _node_terms(roots, family: Family, params):
         coeff_a = np.prod(factors, axis=-1)
         quotient = np.prod(factors[0] / factors[1], axis=-1)
         if squared:
-            wilson = 2.0 * z * (2.0 * z + 1j)
+            wilson = 2.0 * z * (2.0 * z + 1j) if pole else 2.0 * (2.0 * z + 1j)
             coeff_a /= wilson
             quotient *= wilson[1] / wilson[0]
         ratios = _shift_ratios(roots, squared)

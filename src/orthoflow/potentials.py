@@ -1,4 +1,4 @@
-"""Morse potentials, gradients and Hessians for the five flow families.
+"""Potentials, gradients, Hessians and flow rhs of the five flow families.
 
 A ``PotentialKind`` pairs a member of the ``params.Family`` registry with a
 parameter record of that member's ``params_type``; the parity-reduced
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCrossing
-from .jacobi_baseline import differences, electrostatic_drift
+from .errors import BranchCrossing, DomainViolation, ParameterError
 from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 
 
@@ -148,6 +147,9 @@ class _MorseEvaluator(_Evaluator):
         fam = kind.family
         params = tuple(getattr(kind.params, k) for k in fam.param_names)
         _check_branch(*params)
+        for name, a in zip(fam.param_names, params):  # 1/Re a is the scale of a's arctan column
+            if not np.isfinite(1.0 / a.real):
+                raise ParameterError(f"Re {name} = {a.real} is too small: 1/Re {name} overflows")
         extra = fam.wilson_cd
         params += tuple(complex(e) for e in extra if e != 0)
         ch = fam is Family.CONTINUOUS_HAHN
@@ -213,16 +215,48 @@ class _MorseEvaluator(_Evaluator):
         return h
 
 
+def in_domain(x: np.ndarray) -> bool:
+    """Whether x is strictly increasing inside (-1, 1); NaN never is."""
+    return x.size == 0 or bool((x[1:] > x[:-1]).all() and x[0] > -1 and x[-1] < 1)
+
+
+def _differences(x: np.ndarray) -> np.ndarray:
+    """Matrix of x_j - x_k with an infinite diagonal, for x in the domain."""
+    if not in_domain(x):
+        raise DomainViolation(
+            "Jacobi configurations must be strictly increasing inside (-1, 1)"
+        )
+    d = x[:, None] - x[None, :]
+    d.reshape(-1)[:: x.size + 1] = np.inf
+    return d
+
+
+def electrostatic_rhs(p: JacobiParams, x) -> np.ndarray:
+    """Right-hand side -B(x_j) - A(x_j) sum_{k != j} 2/(x_j - x_k).
+
+    A(x) = x^2 - 1 and B(x) = (alpha+1)(x+1) + (beta+1)(x-1); equals
+    2 A(x_j) times the electrostatic-potential gradient component.
+    """
+    x = np.asarray(x, dtype=float)
+    a_mob = x * x - 1.0
+    b_drift = (p.alpha + 1) * (x + 1.0) + (p.beta + 1) * (x - 1.0)
+    return -b_drift - a_mob * (2.0 / _differences(x)).sum(axis=1)
+
+
 class _JacobiEvaluator(_Evaluator):
     """The electrostatic potential on the Jacobi domain,
 
         V(x) = -sum_{j<k} log(x_k - x_j)
                - sum_j [(alpha+1)/2 log(1 - x_j) + (beta+1)/2 log(1 + x_j)],
 
-    whose flow is the mobility-weighted ``electrostatic_rhs``. Every
-    evaluation checks the domain; its ``DomainViolation`` is what makes the
-    integrator halve a step that leaves (-1, 1). V is convex on the domain:
-    -log is convex, and alpha, beta > -1 make both boundary weights positive.
+    whose minimum is the Jacobi root configuration. Unlike the other flows
+    this one is not a plain gradient flow: its rhs, ``electrostatic_rhs``,
+    carries the mobility factor 2 A(x) = 2 (x^2 - 1). The domain, strictly
+    increasing configurations inside (-1, 1), is ``in_domain``, which the
+    command line checks too. Every evaluation checks it; its
+    ``DomainViolation`` is what makes the integrator halve a step that leaves
+    (-1, 1). V is convex on the domain: -log is convex, and alpha, beta > -1
+    make both boundary weights positive.
     """
 
     def __init__(self, p: JacobiParams, n: int):
@@ -234,14 +268,14 @@ class _JacobiEvaluator(_Evaluator):
 
     def rhs(self, x: np.ndarray) -> np.ndarray:
         """dx/dt of the flow, 2 (x^2 - 1) grad V."""
-        return electrostatic_drift(self._p, x, differences(x))
+        return electrostatic_rhs(self._p, x)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return -(1.0 / differences(x)).sum(axis=1) - (self._wa / (x - 1.0) + self._wb / (x + 1.0))
+        return -(1.0 / _differences(x)).sum(axis=1) - (self._wa / (x - 1.0) + self._wb / (x + 1.0))
 
     def value(self, x: np.ndarray) -> float:
         # x increasing: x_j - x_k < 0 for j < k
-        v = -np.log(-differences(x).take(self._upper)).sum()
+        v = -np.log(-_differences(x).take(self._upper)).sum()
         v -= (self._wa * np.log(1.0 - x) + self._wb * np.log(1.0 + x)).sum()
         return float(v)
 
@@ -250,7 +284,7 @@ class _JacobiEvaluator(_Evaluator):
         return 0.5 * (rhs / (x * x - 1.0)).dot(dx)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        cd = 1.0 / differences(x) ** 2
+        cd = 1.0 / _differences(x) ** 2
         h = -cd
         h[np.diag_indices(x.size)] = cd.sum(axis=1) + (
             self._wa / (x - 1.0) ** 2 + self._wb / (x + 1.0) ** 2
@@ -260,7 +294,8 @@ class _JacobiEvaluator(_Evaluator):
 
 def evaluator(kind: PotentialKind, n: int) -> _Evaluator:
     """Evaluator of ``kind`` at degree n; raises ``BranchCrossing`` for a
-    parameter on the arctan branch cut."""
+    parameter on the arctan branch cut and ``ParameterError`` for one whose
+    real part is too small to invert."""
     if kind.family is Family.JACOBI:
         return _JacobiEvaluator(kind.params, n)
     return _MorseEvaluator(kind, n)

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples
-from .jacobi_baseline import jacobi_kappa
-from .params import ContinuousHahnParams, Family, WilsonParams
+from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 from .potentials import PotentialKind
 from .flow import Trajectory
 
@@ -61,6 +60,13 @@ def kappa_continuous_hahn_symmetric(p: ContinuousHahnParams, n: int, r_n: float)
     if n < 1:
         raise ValueError("n must be at least 1")
     return _wilson_terms(Family.reduction(n).wilson_params(p).values, n // 2, r_n)
+
+
+def jacobi_kappa(p: JacobiParams, n: int) -> float:
+    """Guaranteed exponential decay rate 2n + alpha + beta of the Jacobi flow."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return 2.0 * n + p.alpha + p.beta
 
 
 def kappa_bound(kind: PotentialKind, n: int, r_n: float) -> float:

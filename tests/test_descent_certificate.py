@@ -23,7 +23,7 @@ from orthoflow import (
 )
 from orthoflow import cli, flow, oracle, potentials
 from orthoflow.flow import _DESCENT_SLACK, _MIN_STEP, _start
-from orthoflow.jacobi_baseline import in_domain
+from orthoflow.potentials import in_domain
 from orthoflow.potentials import PotentialKind, evaluator
 
 from test_flow_kernel import FAMILIES, _trajectory_case, draw_config, draw_kind, ref_integrate

@@ -16,6 +16,9 @@ from orthoflow import (
     solve_roots,
     electrostatic_rhs,
 )
+from orthoflow import flow, potentials, rates
+
+from test_flow_kernel import draw_config, draw_kind
 
 
 def test_rhs_single_particle_legendre():
@@ -90,3 +93,72 @@ def test_flow_converges_to_jacobi_roots():
     t_end = traj.times[-1]
     report = measure_decay(traj, eq, window=(0.4 * t_end, 0.9 * t_end))
     assert np.min(report.measured_slopes) >= kappa - 1e-2
+
+
+# -- the Jacobi flow in the homes of the other families ---------------------------
+# references: verbatim copies of the module that kept the Jacobi flow apart
+
+def ref_in_domain(x: np.ndarray) -> bool:
+    """Whether x is strictly increasing inside (-1, 1); NaN never is."""
+    return x.size == 0 or bool((x[1:] > x[:-1]).all() and x[0] > -1 and x[-1] < 1)
+
+
+def ref_differences(x: np.ndarray) -> np.ndarray:
+    """Matrix of x_j - x_k with an infinite diagonal, for x in the domain."""
+    if not ref_in_domain(x):
+        raise DomainViolation(
+            "Jacobi configurations must be strictly increasing inside (-1, 1)"
+        )
+    d = x[:, None] - x[None, :]
+    d.reshape(-1)[:: x.size + 1] = np.inf
+    return d
+
+
+def ref_electrostatic_drift(p: JacobiParams, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``electrostatic_rhs`` from the matrix ``differences(x)``."""
+    a_mob = x * x - 1.0
+    b_drift = (p.alpha + 1) * (x + 1.0) + (p.beta + 1) * (x - 1.0)
+    return -b_drift - a_mob * (2.0 / d).sum(axis=1)
+
+
+def ref_electrostatic_rhs(p: JacobiParams, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return ref_electrostatic_drift(p, x, ref_differences(x))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
+def test_rhs_is_bitwise_the_reference(n):
+    rng = np.random.default_rng([n, 9])
+    for _ in range(4):
+        kind = draw_kind(FlowFamily.JACOBI, rng)
+        x = draw_config(kind, n, rng)
+        ref = ref_electrostatic_rhs(kind.params, x)
+        ev = potentials.evaluator(kind, n)
+        for got in (electrostatic_rhs(kind.params, x), electrostatic_rhs(kind.params, list(x)),
+                    ev.rhs(x)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("x", [
+    [0.5, 0.2], [0.2, 0.2], [-1.0, 0.2], [0.2, 1.0], [-2.0], [1.5],
+    [float("nan")], [0.1, float("nan")], [-float("inf"), 0.0], [0.0, float("inf")],
+], ids=str)
+def test_the_same_configurations_leave_the_domain(x):
+    p = JacobiParams(0.5, -0.25)
+    x = np.array(x)
+    assert not potentials.in_domain(x) and not ref_in_domain(x)
+    with pytest.raises(DomainViolation):
+        ref_electrostatic_rhs(p, x)
+    ev = potentials.evaluator(PotentialKind(FlowFamily.JACOBI, p), x.size)
+    for call in (lambda: electrostatic_rhs(p, x), lambda: ev.rhs(x), lambda: ev.gradient(x),
+                 lambda: ev.value(x), lambda: ev.hessian(x)):
+        with pytest.raises(DomainViolation):
+            call()
+
+
+def test_the_moved_names_import_from_their_homes_and_the_package():
+    assert electrostatic_rhs is potentials.electrostatic_rhs
+    assert jacobi_kappa is rates.jacobi_kappa
+    assert equispaced_start is flow.equispaced_start
+    kind = PotentialKind(FlowFamily.JACOBI, JacobiParams(0.0, 0.0))
+    assert flow.default_start(kind, 5).tobytes() == equispaced_start(5).tobytes()

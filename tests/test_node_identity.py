@@ -29,6 +29,7 @@ from conftest import random_ch_params, random_wilson_params
 
 CH = ContinuousHahnParams(1.0, 1.0)
 W = WilsonParams(1.0, 0.5, 1 + 1j, 1 - 1j)
+W0 = WilsonParams(1.0, 1.0, 0.5, 0.0, allow_boundary=True)
 
 
 @pytest.mark.parametrize(
@@ -39,6 +40,8 @@ W = WilsonParams(1.0, 0.5, 1 + 1j, 1 - 1j)
         (Family.WILSON, W, [2.0, 0.5, 2.0]),  # repeated node
         (Family.WILSON, W, [0.5, -0.5]),  # the same node in x^2
         (Family.WILSON, W, [0.0, 1.0]),  # A(x) is singular at 0
+        (Family.WILSON, W, [1e-13, 1.0]),  # ... and within 1e-12 of 0
+        (Family.WILSON, W0, [0.0, 1.0]),  # d = 0 cancels the pole; p'(0) = 0
     ],
 )
 def test_both_residuals_raise_on_singular_nodes(family, params, x):

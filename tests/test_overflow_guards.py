@@ -27,7 +27,7 @@ from orthoflow import (
     newton_solve,
     potential,
 )
-from orthoflow.jacobi_baseline import in_domain
+from orthoflow.potentials import in_domain
 from orthoflow.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 NON_FINITE = [float("inf"), float("-inf"), float("nan")]
@@ -78,6 +78,32 @@ def test_cli_tiny_parameter_ends_with_a_message(command, family, tmp_path, capsy
     out, err = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_NUMERICAL)
     assert (out if code == EXIT_OK else err).strip()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_cli_verify_zero_wilson_parameter_cancels_the_pole(n, capsys):
+    # ch-even is the Wilson system with d = 0, whose factor x of A(x) cancels
+    # the pole at 0: a = 1e-300 puts the valid root y_1 ~ 1e-290 next to 0
+    argv = ["verify", "--family", "ch-even", "--n", str(n), "--a", "1e-300", "--b", "1"]
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family,name", [("ch", "a"), ("ch-even", "a"), ("ch-odd", "a"),
+                                         ("wilson", "d")])
+@pytest.mark.parametrize("command", ["roots", "verify", "flow", "rate"])
+def test_cli_subnormal_parameter_is_a_validation_error(command, family, name, tmp_path, capsys):
+    # 1 / Re a overflows, which used to start the flow at NaN
+    params = dict.fromkeys("abcd" if family == "wilson" else "ab", "1")
+    params[name] = "1e-320"
+    argv = [command, "--family", family, "--n", "3"]
+    argv += [f"--{k}={v}" for k, v in params.items()]
+    if command == "flow":
+        argv += ["--output", str(tmp_path / "traj.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: Re {name} = 1e-320 is too small: 1/Re {name} overflows\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
