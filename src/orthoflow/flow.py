@@ -18,8 +18,9 @@ same rule with the gradient at its trial, which is also the next gradient.
 Each ``integrate`` and ``newton_solve`` call builds one evaluator for its
 (kind, n) (see ``potentials``) and keeps it for the run only. At the flows'
 sizes an evaluation costs a few numpy calls on a small table, so the RK4
-stages and the increment are formed in place in one per-run buffer and the
-stop test calls the array methods directly.
+stages and the increment are formed in place in one per-run buffer, and
+the stop test calls the array methods directly: max |v| < tol is read off
+v.max() and v.min() (``_below``), with no temporary |v|.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ def _rk4_step(rhs, x, h, k1, buf):
     return buf
 
 
+def _below(v: np.ndarray, tol: float) -> bool:
+    """Whether max |v| < tol, from the extremes of v: no temporary array,
+    and the second reduction only when the first passes. NaN never is."""
+    return v.max() < tol and v.min() > -tol
+
+
 def _value_descends(v: float, v_new: float) -> bool:
     """The fallback descent test: V(x_new) <= V(x) up to the roundoff slack."""
     return bool(np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)))
@@ -130,7 +137,7 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     accepted = 0
 
     while t < settings.t_max - 1e-14:
-        if np.abs(k1).max() < settings.grad_tol:
+        if _below(k1, settings.grad_tol):
             break
         h_try = min(h, settings.t_max - t)
         while True:
@@ -189,7 +196,7 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
     g = ev.gradient(x)
     v = None  # V(x), evaluated only for the fallback test
     for _ in range(max_iter):
-        if np.max(np.abs(g)) < tol:
+        if _below(g, tol):
             return x
         h = ev.hessian(x)
         try:

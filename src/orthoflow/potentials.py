@@ -6,8 +6,9 @@ systems run the Wilson formulas with the registry's extra parameters.
 
 Flow right-hand sides, gradients, values and Hessians come from one
 evaluator per (kind, n), built by ``evaluator``. It precomputes what does
-not depend on the configuration: the linear term, the branch-cut check and
-the columns of the Morse table (see ``_MorseEvaluator``). Each method
+not depend on the configuration: the linear term, the parameter checks and
+the two factors whose product is the Morse table (see ``_MorseEvaluator``),
+so that an evaluation fills the table with one matrix product. Each method
 evaluates what it returns and nothing more; the Morse value reuses the table
 and rhs of its own evaluation. Every potential is convex, so the flow's
 descent test reads the slope grad V . dx off the rhs it needs anyway
@@ -63,17 +64,18 @@ def _check_branch(*params: complex):
 
 
 def _param_columns(params) -> list[tuple[float, float, float]]:
-    """(y, 1/alpha, w) of the columns whose weighted sum of
-    arctan((x - y) / alpha) is sum_a Re arctan(x / a): one column (0, 1/a, 1)
-    per real a, then two columns (-+beta, 1/alpha, 1/2) per a = alpha + i beta,
-    since for alpha > 0
+    """(1/alpha, -y/alpha, w) of the columns whose weighted sum of
+    arctan((x - y) / alpha) is sum_a Re arctan(x / a): one column
+    (1/a, 0, 1) per real a (y = 0), then two columns (1/alpha, +-beta/alpha,
+    1/2) per a = alpha + i beta (y = -+beta), since for alpha > 0
 
         Re arctan(x / a) = [arctan((x + beta) / alpha) + arctan((x - beta) / alpha)] / 2.
     """
-    cols = [(0.0, 1.0 / a.real, 1.0) for a in params if a.imag == 0]
+    cols = [(1.0 / a.real, 0.0, 1.0) for a in params if a.imag == 0]
     for a in params:
         if a.imag != 0:
-            cols += [(-a.imag, 1.0 / a.real, 0.5), (a.imag, 1.0 / a.real, 0.5)]
+            inv_alpha = 1.0 / a.real
+            cols += [(inv_alpha, a.imag * inv_alpha, 0.5), (inv_alpha, -a.imag * inv_alpha, 0.5)]
     return cols
 
 
@@ -141,15 +143,35 @@ class _MorseEvaluator(_Evaluator):
     antiderivative of their two shifted columns cancels catastrophically.
     Where arg^2 overflows (a width alpha near the underflow threshold),
     log1p(arg^2) is 2 log|arg| + log1p(arg^-2) (``_log1p_square``).
+
+    The table is one matrix product, arg = [x | 1] @ [[1/alpha], [-y/alpha]],
+    of an n x 2 and a 2 x K factor built once: an evaluation writes x into
+    the left factor's first column and the pair shifts -+x into the right
+    factor's second row, then runs one ``np.dot`` into the per-run table
+    buffer. Each entry x_j (1/alpha_c) + (-y_c/alpha_c) is rounded once. On
+    the pair columns (alpha = 1), the self pair and the real parameters
+    (y = 0) that is exactly the number (x_j - y_c) / alpha_c, though a zero
+    may come out as +0 where the difference gives -0; on the complex columns
+    it differs from (x_j - y_c)(1/alpha_c) by the roundings of x_j/alpha_c
+    and beta/alpha_c. With an inner dimension of 2, each entry is one
+    thread's sum whatever the number of BLAS threads. A parameter whose
+    1/Re a or Im a / Re a overflows is a ``ParameterError``.
     """
 
     def __init__(self, kind: PotentialKind, n: int):
         fam = kind.family
         params = tuple(getattr(kind.params, k) for k in fam.param_names)
         _check_branch(*params)
-        for name, a in zip(fam.param_names, params):  # 1/Re a is the scale of a's arctan column
-            if not np.isfinite(1.0 / a.real):
+        # 1/Re a and Im a / Re a scale a's arctan columns
+        for name, a in zip(fam.param_names, params):
+            scale = 1.0 / a.real
+            if not np.isfinite(scale):
                 raise ParameterError(f"Re {name} = {a.real} is too small: 1/Re {name} overflows")
+            if not np.isfinite(a.imag * scale):
+                raise ParameterError(
+                    f"Re {name} = {a.real} is too small for Im {name} = {a.imag}: "
+                    f"Im {name} / Re {name} overflows"
+                )
         extra = fam.wilson_cd
         params += tuple(complex(e) for e in extra if e != 0)
         ch = fam is Family.CONTINUOUS_HAHN
@@ -159,15 +181,19 @@ class _MorseEvaluator(_Evaluator):
         self._neg_linear = -(c + 0.5 * np.pi * extra.count(0))
         self._sums = not ch
         # after the pairs: for the Wilson systems the self pair, a column at
-        # y = 0 of width 1/2 and weight -1, then the parameters; the rows of
-        # ``cols`` are y, 1/alpha and w. The y row and the table are per-run
-        # buffers: ``_table`` writes the pair shifts +-x and the table in place
-        head = [] if ch else [(0.0, 2.0, -1.0)]
+        # y = 0 of width 1/2 and weight -1, then the parameters. The rows of
+        # ``cols`` are 1/alpha, -y/alpha and w; the first two are the right
+        # factor of the table product. Both factors and the table are per-run
+        # buffers: ``_table`` writes x into the left factor and the pair
+        # shifts -+x into the right one's second row
+        head = [] if ch else [(2.0, 0.0, -1.0)]
         pairs = n if ch else 2 * n
         static = head + _param_columns(params)
         cols = np.ones((3, pairs + len(static)))
         cols[:, pairs:] = list(zip(*static))
-        self._y, self._inv_alpha, self._w = cols
+        self._shift, self._w = cols[:2], cols[2]
+        self._w_inv_alpha = self._w * cols[0]
+        self._lhs = np.ones((n, 2))
         self._arg = np.empty((n, cols.shape[1]))
         # log1p weights of the leading columns: pairs, self pair, real parameters
         real = [0.5 * a.real for a in params if a.imag == 0]
@@ -177,12 +203,11 @@ class _MorseEvaluator(_Evaluator):
 
     def _table(self, x):
         n = x.size
-        self._y[:n] = x
+        self._lhs[:, 0] = x
+        np.negative(x, out=self._shift[1, :n])
         if self._sums:
-            np.negative(x, out=self._y[n : 2 * n])
-        arg = np.subtract.outer(x, self._y, out=self._arg)
-        arg *= self._inv_alpha
-        return arg
+            self._shift[1, n : 2 * n] = x
+        return np.dot(self._lhs, self._shift, out=self._arg)
 
     def rhs(self, x: np.ndarray) -> np.ndarray:
         """dx/dt of the flow, -gradient."""
@@ -211,7 +236,7 @@ class _MorseEvaluator(_Evaluator):
         h = -lorentz[:, :n]
         if self._sums:
             h += lorentz[:, n : 2 * n]
-        h.flat[:: n + 1] += lorentz @ (self._w * self._inv_alpha)
+        h.flat[:: n + 1] += lorentz @ self._w_inv_alpha
         return h
 
 
@@ -295,7 +320,7 @@ class _JacobiEvaluator(_Evaluator):
 def evaluator(kind: PotentialKind, n: int) -> _Evaluator:
     """Evaluator of ``kind`` at degree n; raises ``BranchCrossing`` for a
     parameter on the arctan branch cut and ``ParameterError`` for one whose
-    real part is too small to invert."""
+    real part is too small to invert or to divide its imaginary part by."""
     if kind.family is Family.JACOBI:
         return _JacobiEvaluator(kind.params, n)
     return _MorseEvaluator(kind, n)

@@ -107,6 +107,29 @@ def test_cli_subnormal_parameter_is_a_validation_error(command, family, name, tm
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family,names", [("ch", "ab"), ("ch-even", "ab"), ("ch-odd", "ab"),
+                                          ("wilson", "cd")])
+@pytest.mark.parametrize("re,im", [("1e-300", "1e9"), ("1e-305", "1e4")])
+@pytest.mark.parametrize("command", ["roots", "verify", "flow", "rate"])
+def test_cli_overflowing_shift_is_a_validation_error(command, family, names, re, im, tmp_path,
+                                                     capsys):
+    # Im a / Re a is the shift of a's arctan columns; it used to overflow
+    # in the table and end in SingularHessian
+    params = dict.fromkeys("abcd" if family == "wilson" else "ab", "1")
+    params[names[0]], params[names[1]] = f"{re}+{im}i", f"{re}-{im}i"
+    argv = [command, "--family", family, "--n", "3"]
+    argv += [f"--{k}={v}" for k, v in params.items()]
+    if command == "flow":
+        argv += ["--output", str(tmp_path / "traj.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    name = names[0]
+    assert capsys.readouterr().err == (
+        f"error: Re {name} = {float(re)} is too small for Im {name} = {float(im)}: "
+        f"Im {name} / Re {name} overflows\n"
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.REDUCED_EVEN,
                                     FlowFamily.REDUCED_ODD], ids=lambda f: f.value)
 def test_potential_of_a_tiny_parameter_is_finite(family):
