@@ -18,6 +18,7 @@ binary floating point at parse time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .flow import (FlowSettings, Trajectory, default_start, equispaced_start, ne
 from .oracle import full_verify, min_eigenvalue_symmetric
 from .params import Family
 from .potentials import PotentialKind, hessian, in_domain
-from .rates import kappa_bound, kappa_continuous_hahn_symmetric, measure_decay
+from .rates import kappa_bound, measure_decay
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -106,21 +107,21 @@ def _build_kind(args) -> PotentialKind:
 
 
 def _initial_condition(args, kind: PotentialKind) -> np.ndarray:
+    """The start that --init names; ``in_domain`` decides every Jacobi start."""
     n = args.n
-    jacobi = kind.family is Family.JACOBI
+    if args.init == "custom" and args.x0 is None:
+        raise ParameterError("--init custom requires --x0")
+    if args.x0 is not None and args.init != "custom":
+        raise ParameterError("--x0 requires --init custom")
     if args.init is None:
         x0 = default_start(kind, n)
     elif args.init == "custom":
-        if args.x0 is None:
-            raise ParameterError("--init custom requires --x0")
         x0 = _parse_init_list(args.x0, n)
     elif args.init == "equispaced":
         x0 = equispaced_start(n)
     else:  # zeros
-        if jacobi:
-            raise ParameterError("init=zeros is invalid for the Jacobi domain (-1, 1)")
         x0 = np.zeros(n)
-    if jacobi and not in_domain(x0):
+    if kind.family is Family.JACOBI and not in_domain(x0):
         raise ParameterError(
             "Jacobi initial conditions must be strictly increasing inside (-1, 1)"
         )
@@ -139,8 +140,10 @@ def _precision(args) -> int:
     return prec
 
 
-def _params_dict(kind: PotentialKind) -> dict:
-    return {k: _cnum(getattr(kind.params, k)) for k in kind.family.param_names}
+def _payload(args, kind: PotentialKind, **fields) -> dict:
+    """The JSON of a request: its family, n and parameters, then ``fields``."""
+    params = {k: _cnum(getattr(kind.params, k)) for k in kind.family.param_names}
+    return {"family": args.family, "n": args.n, "params": params, **fields}
 
 
 def _cnum(z: complex):
@@ -199,14 +202,8 @@ def cmd_roots(args) -> int:
         _write_text(args.output, "\n".join(["index,root"] + rows) + "\n")
     elif args.output:
         # the bound and the Hessian have no value for the empty configuration
-        payload = {
-            "family": args.family,
-            "n": args.n,
-            "params": _params_dict(kind),
-            "roots": roots.tolist(),
-            "kappa_bound": None,
-            "hessian_min_eigenvalue": None,
-        }
+        payload = _payload(args, kind, roots=roots.tolist(), kappa_bound=None,
+                           hessian_min_eigenvalue=None)
         if args.n:
             payload["kappa_bound"] = kappa_bound(kind, args.n, float(np.max(np.abs(eq))))
             payload["hessian_min_eigenvalue"] = min_eigenvalue_symmetric(hessian(kind, eq))
@@ -215,6 +212,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    if not args.output:
+        raise ParameterError("flow requires --output")
     kind = _build_kind(args)
     x0 = _initial_condition(args, kind)
     traj, eq = solve_roots(kind, args.n, x0=x0, settings=_settings(args))
@@ -228,15 +227,7 @@ def cmd_flow(args) -> int:
 def cmd_verify(args) -> int:
     kind = _build_kind(args)
     report = full_verify(kind.family, kind.params, args.n)
-    payload = {
-        "family": args.family,
-        "n": args.n,
-        "params": _params_dict(kind),
-        "max_bethe_residual": report.max_bethe_residual,
-        "max_diff_eq_residual": report.max_diff_eq_residual,
-        "root_mismatch": report.root_mismatch,
-        "hessian_min_eigenvalue": report.hessian_min_eigenvalue,
-    }
+    payload = _payload(args, kind, **dataclasses.asdict(report))
     _write_json(payload, args.output)
     for key, tol in _VERIFY_TOL.items():
         if payload[key] > tol:
@@ -258,19 +249,13 @@ def cmd_rate(args) -> int:
     traj, eq = solve_roots(kind, args.n, x0=x0, settings=_settings(args))
     window = tuple(args.window) if args.window else None
     report = measure_decay(traj, eq, window)
-    payload = {
-        "family": args.family,
-        "n": args.n,
-        "params": _params_dict(kind),
-        "kappa_bound": report.kappa_bound,
-        "measured_slopes": report.measured_slopes.tolist(),
-        "fit_window": list(report.fit_window),
-        "R_n": report.R_n,
-    }
+    payload = _payload(args, kind, kappa_bound=report.kappa_bound,
+                       measured_slopes=report.measured_slopes.tolist(),
+                       fit_window=list(report.fit_window), R_n=report.R_n)
+    # a parity-symmetric start flows in the reduced system, degree n // 2
     if kind.family is Family.CH and x0.size and np.max(np.abs(x0 + x0[::-1])) == 0.0:
-        payload["kappa_bound_symmetric"] = kappa_continuous_hahn_symmetric(
-            kind.params, args.n, report.R_n
-        )
+        reduced = PotentialKind(Family.reduction(args.n), kind.params)
+        payload["kappa_bound_symmetric"] = kappa_bound(reduced, args.n // 2, report.R_n)
     _write_json(payload, args.output)
     return EXIT_OK
 
@@ -333,9 +318,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_values(argv))
     if args.n < 0:
         print("error: n must be nonnegative", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.command == "flow" and not args.output:
-        print("error: flow requires --output", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         return args.func(args)

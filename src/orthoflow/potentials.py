@@ -155,14 +155,19 @@ class _MorseEvaluator(_Evaluator):
     it differs from (x_j - y_c)(1/alpha_c) by the roundings of x_j/alpha_c
     and beta/alpha_c. With an inner dimension of 2, each entry is one
     thread's sum whatever the number of BLAS threads. A parameter whose
-    1/Re a or Im a / Re a overflows is a ``ParameterError``.
+    1/Re a or Im a / Re a overflows is a ``ParameterError``, and so are
+    parameters whose sum of 1/Re a, a bound of the Hessian's diagonal,
+    overflows.
     """
 
     def __init__(self, kind: PotentialKind, n: int):
         fam = kind.family
         params = tuple(getattr(kind.params, k) for k in fam.param_names)
         _check_branch(*params)
-        # 1/Re a and Im a / Re a scale a's arctan columns
+        # 1/Re a and Im a / Re a scale a's arctan columns, and the Hessian's
+        # diagonal adds every 1/Re a times a Lorentzian <= 1, so their sum
+        # must be finite too
+        inv_sum = 0.0
         for name, a in zip(fam.param_names, params):
             scale = 1.0 / a.real
             if not np.isfinite(scale):
@@ -172,6 +177,12 @@ class _MorseEvaluator(_Evaluator):
                     f"Re {name} = {a.real} is too small for Im {name} = {a.imag}: "
                     f"Im {name} / Re {name} overflows"
                 )
+            inv_sum += scale
+        if not np.isfinite(inv_sum):
+            raise ParameterError(
+                "the real parts are too small: "
+                + " + ".join(f"1/Re {name}" for name in fam.param_names) + " overflows"
+            )
         extra = fam.wilson_cd
         params += tuple(complex(e) for e in extra if e != 0)
         ch = fam is Family.CONTINUOUS_HAHN
@@ -320,7 +331,8 @@ class _JacobiEvaluator(_Evaluator):
 def evaluator(kind: PotentialKind, n: int) -> _Evaluator:
     """Evaluator of ``kind`` at degree n; raises ``BranchCrossing`` for a
     parameter on the arctan branch cut and ``ParameterError`` for one whose
-    real part is too small to invert or to divide its imaginary part by."""
+    real part is too small to invert or to divide its imaginary part by, or
+    for parameters whose inverted real parts sum past the double range."""
     if kind.family is Family.JACOBI:
         return _JacobiEvaluator(kind.params, n)
     return _MorseEvaluator(kind, n)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from orthoflow import WilsonParams, kappa_wilson
 from orthoflow.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_number
 
 
@@ -285,3 +286,82 @@ def test_verify_fails_on_a_negative_hessian_eigenvalue(capsys):
 def test_verify_odd_degree_half_degree_oracle(capsys):
     code = main(["verify", "--family", "ch", "--n", "41", "--a", "1", "--b", "1"])
     assert code == EXIT_OK, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x0", ["5,6,7", "0,1"])
+@pytest.mark.parametrize("init", [None, "zeros", "equispaced"])
+@pytest.mark.parametrize("command", ["roots", "flow", "rate"])
+def test_x0_requires_custom_init(command, init, x0, tmp_path, capsys):
+    # an --x0 that no --init custom asks for used to be ignored silently
+    argv = [command, "--family", "ch", "--n", "3", "--a", "1", "--b", "1", "--x0", x0]
+    argv += ["--init", init] if init else []
+    out = tmp_path / "traj.csv"
+    if command == "flow":
+        argv += ["--output", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: --x0 requires --init custom\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["roots", "flow", "rate"])
+def test_custom_init_requires_x0(command, tmp_path, capsys):
+    argv = [command, "--family", "ch", "--n", "3", "--a", "1", "--b", "1", "--init", "custom"]
+    if command == "flow":
+        argv += ["--output", str(tmp_path / "traj.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --init custom requires --x0\n"
+
+
+def test_zeros_init_is_the_default_start(tmp_path, capsys):
+    argv = ["roots", "--family", "ch", "--n", "6", "--a", "2", "--b", "3/10"]
+    outs = []
+    for init in ([], ["--init", "zeros"]):
+        path = tmp_path / f"r{len(init)}.json"
+        assert main(argv + init + ["--output", str(path)]) == EXIT_OK
+        outs.append((capsys.readouterr().out, path.read_bytes()))
+    assert outs[0] == outs[1]
+
+
+def test_jacobi_zeros_init_at_one_root_is_in_the_domain(capsys):
+    # (0) is a strictly increasing configuration inside (-1, 1)
+    argv = ["roots", "--family", "jacobi", "--n", "1", "--alpha", "1/2", "--beta", "1/2"]
+    outs = []
+    for init in (["--init", "zeros"], ["--init", "custom", "--x0", "0"]):
+        assert main(argv + init) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs == ["x[1] = 0.0000\n"] * 2
+
+
+def test_jacobi_zeros_init_leaves_the_domain(capsys):
+    argv = ["roots", "--family", "jacobi", "--n", "3", "--alpha", "0", "--beta", "0",
+            "--init", "zeros"]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: Jacobi initial conditions must be strictly increasing inside (-1, 1)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["roots", "flow", "verify", "rate"])
+def test_negative_degree_exits_2(command, capsys):
+    code = main([command, "--family", "ch", "--n", "-1", "--a", "1", "--b", "1"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: n must be nonnegative\n"
+
+
+def test_flow_without_output_names_the_option(capsys):
+    code = main(["flow", "--family", "ch", "--n", "2", "--a", "1", "--b", "1"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: flow requires --output\n")
+
+
+def test_rate_symmetric_bound_is_the_reduced_wilson_bound(capsys):
+    # the parity-symmetric bound is the Wilson bound of the reduced system at
+    # degree n // 2 with (c, d) = (1/2, 0); at odd n the middle coordinate
+    # starts at its root, 0, and leaves no decay to fit
+    for n in (4, 6):
+        code = main(["rate", "--family", "ch", "--n", str(n), "--a", "2", "--b", "1",
+                     "--t-max", "12"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        p = WilsonParams(2.0, 1.0, 0.5, 0.0, allow_boundary=True)
+        assert payload["kappa_bound_symmetric"] == kappa_wilson(p, n // 2, payload["R_n"])

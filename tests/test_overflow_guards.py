@@ -1,5 +1,6 @@
 """Non-finite parameters are rejected, and overflow never passes silently."""
 
+import json
 import warnings
 
 import numpy as np
@@ -262,3 +263,43 @@ def test_jacobi_domain_check_rejects_non_finite(bad):
         electrostatic_rhs(p, x)
     with pytest.raises(DomainViolation):
         potential(PotentialKind(FlowFamily.JACOBI, p), x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family,names", [("ch", "ab"), ("ch-even", "ab"), ("ch-odd", "ab"),
+                                          ("wilson", "cd")])
+@pytest.mark.parametrize("command", ["roots", "verify", "flow", "rate"])
+def test_cli_overflowing_hessian_diagonal_is_a_validation_error(command, family, names,
+                                                                tmp_path, capsys):
+    # each 1 / Re a = 1e308 is finite, but the Hessian diagonal sums them to
+    # 2e308; it used to overflow in the matmul and end in MaxIterations
+    params = dict.fromkeys("abcd" if family == "wilson" else "ab", "1")
+    params.update(dict.fromkeys(names, "1e-308"))
+    argv = [command, "--family", family, "--n", "3"]
+    argv += [f"--{k}={v}" for k, v in params.items()]
+    if command == "flow":
+        argv += ["--output", str(tmp_path / "traj.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    terms = " + ".join(f"1/Re {k}" for k in params)
+    assert capsys.readouterr() == ("", f"error: the real parts are too small: {terms} overflows\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_one_huge_reciprocal_still_solves(capsys):
+    argv = ["roots", "--family", "ch", "--n", "3", "--a", "1e-308", "--b", "1"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "x[2] = 0.0000"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n,b", [(3, "1e-200"), (1, "1")])
+def test_cli_kappa_bound_of_underflowing_squares_is_finite(n, b, tmp_path):
+    # a^2 and R_n^2 underflow to 0 (R_n ~ 3e-190 at n = 3; R_n = 0 at n = 1),
+    # while a / (a^2 + R_n^2) is finite; the division used to raise
+    # ZeroDivisionError
+    out = tmp_path / "r.json"
+    argv = ["roots", "--family", "ch", "--n", str(n), "--a", "1e-200", "--b", b,
+            "--output", str(out)]
+    assert main(argv) == EXIT_OK
+    kappa = json.loads(out.read_text())["kappa_bound"]
+    assert np.isfinite(kappa) and kappa > 1e179
