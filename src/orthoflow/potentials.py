@@ -156,18 +156,15 @@ class _MorseEvaluator(_Evaluator):
     and beta/alpha_c. With an inner dimension of 2, each entry is one
     thread's sum whatever the number of BLAS threads. A parameter whose
     1/Re a or Im a / Re a overflows is a ``ParameterError``, and so are
-    parameters whose sum of 1/Re a, a bound of the Hessian's diagonal,
-    overflows.
+    parameters whose sum of |w|/alpha over the columns, a bound of the
+    Hessian's diagonal, overflows.
     """
 
     def __init__(self, kind: PotentialKind, n: int):
         fam = kind.family
         params = tuple(getattr(kind.params, k) for k in fam.param_names)
         _check_branch(*params)
-        # 1/Re a and Im a / Re a scale a's arctan columns, and the Hessian's
-        # diagonal adds every 1/Re a times a Lorentzian <= 1, so their sum
-        # must be finite too
-        inv_sum = 0.0
+        # 1/Re a and Im a / Re a scale a's arctan columns
         for name, a in zip(fam.param_names, params):
             scale = 1.0 / a.real
             if not np.isfinite(scale):
@@ -177,12 +174,6 @@ class _MorseEvaluator(_Evaluator):
                     f"Re {name} = {a.real} is too small for Im {name} = {a.imag}: "
                     f"Im {name} / Re {name} overflows"
                 )
-            inv_sum += scale
-        if not np.isfinite(inv_sum):
-            raise ParameterError(
-                "the real parts are too small: "
-                + " + ".join(f"1/Re {name}" for name in fam.param_names) + " overflows"
-            )
         extra = fam.wilson_cd
         params += tuple(complex(e) for e in extra if e != 0)
         ch = fam is Family.CONTINUOUS_HAHN
@@ -204,6 +195,13 @@ class _MorseEvaluator(_Evaluator):
         cols[:, pairs:] = list(zip(*static))
         self._shift, self._w = cols[:2], cols[2]
         self._w_inv_alpha = self._w * cols[0]
+        # the Hessian's diagonal adds these times Lorentzians <= 1
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(self._w_inv_alpha).sum()):
+                raise ParameterError(
+                    "the real parts are too small: "
+                    + " + ".join(f"1/Re {name}" for name in fam.param_names) + " overflows"
+                )
         self._lhs = np.ones((n, 2))
         self._arg = np.empty((n, cols.shape[1]))
         # log1p weights of the leading columns: pairs, self pair, real parameters

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +30,13 @@ class RateReport:
 
 def _param_term(a: complex, r: float) -> float:
     """alpha / (alpha^2 + s^2), with alpha = Re a and s = r + |Im a|; a zero
-    parameter (a reduced system's d = 0) contributes its limit 0."""
+    parameter (a reduced system's d = 0) contributes its limit 0. Dividing
+    by the hypotenuse twice keeps the term where the squares under- or
+    overflow."""
     if not a:
         return 0.0
-    alpha, s = a.real, r + abs(a.imag)
-    try:
-        den = alpha**2 + s**2
-    except OverflowError:
-        den = math.inf
-    if sys.float_info.min <= den < math.inf:
-        return alpha / den
-    # the squares left the normal range, the quotient need not have: divide
-    # by the hypotenuse twice
-    h = math.hypot(alpha, s)
-    return alpha / h / h
+    h = math.hypot(a.real, r + abs(a.imag))
+    return a.real / h / h
 
 
 def kappa_continuous_hahn(p: ContinuousHahnParams, r_n: float) -> float:
