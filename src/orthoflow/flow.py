@@ -1,8 +1,23 @@
 """Flow integration to equilibrium and Newton polishing.
 
-The integrator is a classical explicit 4th-order one-step method whose
-step is halved whenever the potential fails to decrease across a step;
-monotone descent is the natural cheap error monitor for these flows.
+The integrator is the classical explicit 4th-order Runge-Kutta method on a
+recording grid of spacing ``FlowSettings.step``. A step spans m grid
+intervals. At m = 1, the shortest step, it is halved whenever the
+potential fails to decrease across it, and recovers by doubling; monotone
+descent is the natural cheap error monitor for these flows. Where the flow
+is smooth, m grows to 2, 4, 8, ...: RK4 with the rhs at x_new, which is the
+next step's first stage k1 (first same as last), carries a free embedded
+third-order solution, (1, 2, 2, 0, 1)/6 on (k1, ..., k5), whose distance
+from x_new is (h/6)(k4 - k5) (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4). A lengthened step is kept while that estimate is at most
+``_ERR_TOL`` of the step's own increment, and the grid times inside it are
+recorded from the cubic Hermite interpolant of its two ends. The estimate
+is measured against the increment, not against an absolute tolerance: the
+flows decay exponentially and their decay rates are fitted down to the
+rounding floor, and an absolute tolerance lets the step ride the stability
+edge, where the fast modes ring at tolerance level. A flow that takes more
+than ``_TRIALS_PER_INTERVAL`` trials per grid interval of t_max stalls
+(``StepUnderflow``).
 
 Every potential is convex on its (convex) domain, so a step from x to x_new
 cannot raise it when the slope grad V(x_new) . (x_new - x) is not positive
@@ -25,17 +40,25 @@ v.max() and v.min() (``_below``), with no temporary |v|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainViolation, MaxIterations, SingularHessian, StepUnderflow
 from .params import Family
-from .potentials import PotentialKind, evaluator
+from .potentials import PotentialKind, evaluator, in_domain
 
 _MIN_STEP = 1e-12
 #: descent-check slack for potential differences at the roundoff floor
 _DESCENT_SLACK = 1e-12
+#: a step of several grid intervals is refused when its error estimate
+#: exceeds this fraction of its increment (max-norms)
+_ERR_TOL = 1e-4
+#: accepted steps after a refused lengthening before the step may grow again
+_HOLD = 16
+#: trials per grid interval of t_max before ``integrate`` gives up
+_TRIALS_PER_INTERVAL = 64
 
 
 @dataclass(frozen=True)
@@ -83,8 +106,9 @@ def _start(x0) -> np.ndarray:
 
 
 def _rk4_step(rhs, x, h, k1, buf):
-    """The RK4 increment (h/6)(k1 + 2 k2 + 2 k3 + k4), formed in ``buf``;
-    the stages x + c h k are formed there too, so ``buf`` is overwritten."""
+    """The RK4 increment (h/6)(k1 + 2 k2 + 2 k3 + k4), formed in ``buf``,
+    and k4; the stages x + c h k are formed in ``buf`` too, so it is
+    overwritten."""
     k2 = rhs(np.add(np.multiply(k1, 0.5 * h, out=buf), x, out=buf))
     k3 = rhs(np.add(np.multiply(k2, 0.5 * h, out=buf), x, out=buf))
     k4 = rhs(np.add(np.multiply(k3, h, out=buf), x, out=buf))
@@ -93,7 +117,20 @@ def _rk4_step(rhs, x, h, k1, buf):
     buf += k1
     buf += k4
     buf *= h / 6.0
-    return buf
+    return buf, k4
+
+
+def _hermite(x, f, x_new, f_new, h, fractions):
+    """The cubic Hermite interpolant of a step of length h from x (rhs f) to
+    x_new (rhs f_new), at the given fractions of the step, one row each.
+    The weights are formed in Python: a step has few inner samples, and
+    per-call numpy overhead dominates at the flows' sizes."""
+    weights = []
+    for s in fractions:
+        q = s * s * (3.0 - 2.0 * s)
+        r = h * s * (1.0 - s)
+        weights.append((1.0 - q, r * (1.0 - s), q, -r * s))
+    return np.array(weights) @ np.array([x, f, x_new, f_new])
 
 
 def _below(v: np.ndarray, tol: float) -> bool:
@@ -107,9 +144,22 @@ def _value_descends(v: float, v_new: float) -> bool:
     return bool(np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)))
 
 
+def _grid(t: float, step: float, t_max: float, m: int) -> list[float]:
+    """The next grid times t + step, (t + step) + step, ..., summed one
+    interval at a time as the fixed-step loop sums them: at most m, and only
+    while a full interval fits before t_max (t_max - t >= step), as the
+    loop's steps do."""
+    ends = []
+    while len(ends) < m and t_max - t >= step:
+        t += step
+        ends.append(t)
+    return ends
+
+
 def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> Trajectory:
     """Integrate the flow from x0 until t_max or the rhs max-norm drops
-    below grad_tol; the final state is always recorded.
+    below grad_tol (tested at step ends); the final state is always
+    recorded.
 
     A trial step dx is accepted when the slope grad V(x_new) . dx, read off
     the rhs at x_new, is not positive: V is convex, so then V(x_new) <=
@@ -117,8 +167,21 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     about n eps |rhs| |dx|_1 (plus eps |rhs| |x_new|_1 from rounding x + dx),
     a possible rise in V far below the ``_DESCENT_SLACK`` (1 + |V|) that the
     value test allows. A positive or NaN slope falls back to that value
-    test, with V(x) evaluated once per state; a step that leaves the domain
-    (``DomainViolation``) or fails both tests is halved.
+    test, with V(x) evaluated once per state; a step of one grid interval
+    that leaves the domain (``DomainViolation``) or fails both tests is
+    halved.
+
+    A step spans m grid intervals of ``settings.step`` (the shortest step
+    the lengthening chooses). m doubles after an accepted step whose error
+    estimate e = (h/6)(k4 - k5) is below ``_ERR_TOL / 16`` of its increment
+    (max-norms); k5 = rhs(x_new) is the next step's k1. A trial of m > 1 is
+    retried at m // 2 when e exceeds ``_ERR_TOL`` of the increment, when it
+    fails the descent guard or when a stage or a recorded sample leaves the
+    domain; m then stays put for ``_HOLD`` accepted steps. The grid times
+    inside a lengthened step are recorded from the cubic Hermite
+    interpolant of its two ends, and ``record_every`` counts grid intervals.
+    More than ``_TRIALS_PER_INTERVAL`` trials per grid interval of t_max
+    raise ``StepUnderflow``.
     """
     settings = settings or FlowSettings()
     x = _start(x0)
@@ -127,51 +190,89 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
         return Trajectory(np.zeros(1), np.zeros((1, 0)), kind)
 
     ev = evaluator(kind, n)
+    step, t_max, every = settings.step, settings.t_max, settings.record_every
+    domain = in_domain if kind.family is Family.JACOBI else None
     t = 0.0
-    h = settings.step
+    h = step  # the one-interval step, below ``step`` while it recovers
+    m, hold = 1, 0  # grid intervals per step; accepted steps before m may double
     times = [0.0]
     states = [x]
     k1 = ev.rhs(x)
     v = None  # V(x), evaluated only for the fallback test
     buf = np.empty(n)
-    accepted = 0
+    intervals = trials = 0
+    budget = _TRIALS_PER_INTERVAL * math.ceil(t_max / step)
+    h_min = step
 
-    while t < settings.t_max - 1e-14:
+    while t < t_max - 1e-14:
         if _below(k1, settings.grad_tol):
             break
-        h_try = min(h, settings.t_max - t)
+        ends = _grid(t, step, t_max, m) if m > 1 else []
+        m = max(1, len(ends))
+        h_one = min(h, t_max - t)  # the one-interval trial, halved on refusal
         while True:
+            h_try = ends[m - 1] - t if m > 1 else h_one
+            trials += 1
+            if trials > budget:
+                raise StepUnderflow(
+                    f"the flow stalled at t={t:.6g} of t_max={t_max:g}: {budget} step "
+                    f"trials, smallest step {h_min:.3g}"
+                )
+            # the recorded grid times strictly inside the step
+            inner = [u for i, u in enumerate(ends[: m - 1], intervals + 1) if i % every == 0]
+            samples = ()
             try:
-                dx = _rk4_step(ev.rhs, x, h_try, k1, buf)
+                dx, k4 = _rk4_step(ev.rhs, x, h_try, k1, buf)
                 x_new = x + dx
                 # first same as last: the rhs at the accepted x_new is k1 of
                 # the next step
                 k1_new = ev.rhs(x_new)
-            except DomainViolation:
-                pass
-            else:
+                if m > 1 or not hold:
+                    # the order-3 solution with weights (1, 2, 2, 0, 1)/6 on
+                    # (k1, ..., k5) differs from x_new by (h/6)(k4 - k5); it
+                    # judges this step if lengthened, and the next one's length
+                    err = h_try / 6.0 * np.abs(k4 - k1_new).max()
+                    size = _ERR_TOL * np.abs(dx).max()
+                ok = m == 1 or err <= size
                 v_new = None
-                if ev.slope(x_new, k1_new, dx) <= 0.0:
-                    break
-                if v is None:
-                    v = ev.value(x)
-                v_new = ev.value(x_new)
-                if _value_descends(v, v_new):
-                    break
-            h_try *= 0.5
-            if h_try < _MIN_STEP:
+                if ok and not ev.slope(x_new, k1_new, dx) <= 0.0:  # positive or NaN
+                    if v is None:
+                        v = ev.value(x)
+                    v_new = ev.value(x_new)
+                    ok = _value_descends(v, v_new)
+                if ok and inner:
+                    samples = _hermite(x, k1, x_new, k1_new, h_try,
+                                       [(u - t) / h_try for u in inner])
+                    ok = domain is None or all(map(domain, samples))
+            except DomainViolation:
+                ok = False
+            if ok:
+                break
+            if m > 1:
+                m //= 2
+                hold = _HOLD
+                continue
+            h_one *= 0.5
+            h_min = min(h_min, h_one)
+            if h_one < _MIN_STEP:
                 raise StepUnderflow(
                     f"step halving underflowed at t={t:.6g} (domain singularity?)"
                 )
         # x_new is a fresh array that nothing writes to, so it is recorded as is
         x, v, k1 = x_new, v_new, k1_new
-        t += h_try
-        accepted += 1
-        # recover towards the requested step after a forced halving
-        h = min(h_try * 2.0, settings.step)
-        if accepted % settings.record_every == 0:
+        t = ends[m - 1] if m > 1 else t + h_try
+        intervals += m
+        times += inner
+        states += list(samples)
+        if intervals % every == 0:
             times.append(t)
             states.append(x)
+        # recover towards the requested step after a forced halving
+        h = min(h_try * 2.0, step)
+        if hold:
+            hold -= 1
+        elif h_try >= step and 16.0 * err <= size:
+            m *= 2
 
     if times[-1] < t:
         times.append(t)

@@ -40,6 +40,8 @@ from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 #: the registry's former name, kept for existing imports
 FlowFamily = Family
 
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class PotentialKind:
@@ -142,7 +144,10 @@ class _MorseEvaluator(_Evaluator):
     real parameter. The complex parameters keep their own log term: the
     antiderivative of their two shifted columns cancels catastrophically.
     Where arg^2 overflows (a width alpha near the underflow threshold),
-    log1p(arg^2) is 2 log|arg| + log1p(arg^-2) (``_log1p_square``).
+    log1p(arg^2) is 2 log|arg| + log1p(arg^-2) (``_log1p_square``). Where
+    arg itself overflows, which a width below 1/sqrt(max double) allows at
+    moderate |x|, arctan(arg) = +-pi/2 and the Lorentzian 0 are exact, and
+    log1p(arg^2) is 2 (log|x_j - y_c| - log alpha_c).
 
     The table is one matrix product, arg = [x | 1] @ [[1/alpha], [-y/alpha]],
     of an n x 2 and a 2 x K factor built once: an evaluation writes x into
@@ -204,6 +209,9 @@ class _MorseEvaluator(_Evaluator):
                 )
         self._lhs = np.ones((n, 2))
         self._arg = np.empty((n, cols.shape[1]))
+        # x_j / alpha overflows only past |x_j| = alpha * max; for
+        # 1 / alpha <= sqrt(max) that is where squares of x overflow anyway
+        self._wide = cols[0].max() > _SQRT_MAX
         # log1p weights of the leading columns: pairs, self pair, real parameters
         real = [0.5 * a.real for a in params if a.imag == 0]
         self._omega = np.full(pairs + len(head) + len(real), 0.25)
@@ -216,6 +224,10 @@ class _MorseEvaluator(_Evaluator):
         np.negative(x, out=self._shift[1, :n])
         if self._sums:
             self._shift[1, n : 2 * n] = x
+        if self._wide:
+            # an entry that overflows is +-inf, whose arctan is exact
+            with np.errstate(over="ignore"):
+                return np.dot(self._lhs, self._shift, out=self._arg)
         return np.dot(self._lhs, self._shift, out=self._arg)
 
     def rhs(self, x: np.ndarray) -> np.ndarray:
@@ -228,7 +240,15 @@ class _MorseEvaluator(_Evaluator):
     def value(self, x: np.ndarray) -> float:
         rhs = self.rhs(x)
         arg = self._arg[:, : self._omega.size]  # the table that rhs filled at x
-        v = -x.dot(rhs) - _log1p_square(arg).sum(axis=0).dot(self._omega)
+        logs = _log1p_square(arg)
+        if self._wide:
+            # where arg = (x_j - y_c) / alpha_c itself overflowed, log1p(arg^2)
+            # is 2 (log|x_j - y_c| - log alpha_c), with y_c = -shift_c alpha_c
+            j, c = np.nonzero(np.isinf(arg))
+            inv_alpha = self._shift[0, c]
+            logs[j, c] = 2.0 * (np.log(np.abs(x[j] + self._shift[1, c] / inv_alpha))
+                                + np.log(inv_alpha))
+        v = -x.dot(rhs) - logs.sum(axis=0).dot(self._omega)
         if self._complex.size:
             z = x / self._complex
             v -= 0.5 * (self._complex * np.log1p(z * z)).real.sum()

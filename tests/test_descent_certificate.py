@@ -1,8 +1,13 @@
 """The convexity certificate that guards descent in the integrator and in
 Newton's line search, against verbatim copies of the value-test loops it
 replaced: the certificate never accepts a step that the value test would
-refuse, the potential drops out of steps that are not halved, and times,
-states, Newton roots and CLI outputs stay bitwise equal."""
+refuse, the potential drops out of steps that are not halved, and Newton
+roots stay bitwise equal. Times and states stay bitwise equal where the
+integrator keeps to one grid interval per step; where it lengthens its step
+they obey ``assert_close_to_fixed_step``, and so do the CLI outputs of those
+flows."""
+
+import json
 
 import numpy as np
 import pytest
@@ -26,7 +31,15 @@ from orthoflow.flow import _DESCENT_SLACK, _MIN_STEP, _start
 from orthoflow.potentials import in_domain
 from orthoflow.potentials import PotentialKind, evaluator
 
-from test_flow_kernel import FAMILIES, _trajectory_case, draw_config, draw_kind, ref_integrate
+from test_flow_kernel import (
+    FAMILIES,
+    _trajectory_case,
+    assert_close_to_fixed_step,
+    draw_config,
+    draw_kind,
+    lengthened_starts,
+    ref_integrate,
+)
 
 
 # -- reference: the value-test integrator and Newton solver ------------------------
@@ -247,12 +260,25 @@ def _same_runs(kind, x0, settings):
         assert type(got) is type(ref) and np.array_equal(got, ref)
 
 
+def _close_runs(kind, x0, settings, monkeypatch):
+    """``_same_runs`` for flows that lengthen their step: the trajectory
+    obeys ``assert_close_to_fixed_step``, and Newton, from the flow's
+    endpoint and from the start, stays bitwise equal."""
+    starts = lengthened_starts(monkeypatch)
+    traj, ref = integrate(kind, x0, settings), value_integrate(kind, x0, settings)
+    assert_close_to_fixed_step(kind, settings, traj, ref.times, ref.states, starts)
+    for start, tol in ((traj.states[-1], 1e-11), (default_start(kind, x0.size), 1e-12)):
+        got, ref = _outcome(newton_solve, kind, start, tol=tol), \
+            _outcome(value_newton_solve, kind, start, tol=tol)
+        assert type(got) is type(ref) and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
-def test_same_trajectories_and_roots_as_the_value_test(family):
+def test_same_trajectories_and_roots_as_the_value_test(family, monkeypatch):
     rng = np.random.default_rng([17, FAMILIES.index(family)])
     for n in WORKLOAD_DEGREES[family]:
         kind = draw_kind(family, rng)
-        _same_runs(kind, default_start(kind, n), _workload_settings(kind, n))
+        _close_runs(kind, default_start(kind, n), _workload_settings(kind, n), monkeypatch)
 
 
 @pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.JACOBI],
@@ -278,19 +304,57 @@ EVEN = ["--family", "ch-even", "--n", "12", "--a", "1+0.5i", "--b", "1-0.5i"]
 JACOBI = ["--family", "jacobi", "--n", "8", "--alpha", "1/2", "--beta", "1/4"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["flow", *CH, "--output", "{tmp}/out.csv"],
-    ["flow", *WILSON, "--t-max", "10", "--output", "{tmp}/out.csv"],
-    ["flow", *JACOBI, "--step", "0.007", "--t-max", "1", "--output", "{tmp}/out.csv"],
-    ["rate", *EVEN],
-    ["rate", *JACOBI, "--step", "0.007", "--t-max", "1"],
-    ["roots", *CH, "--format", "json"],
-    ["roots", *JACOBI, "--format", "csv", "--output", "{tmp}/out.csv"],
-    ["verify", *CH],
-    ["verify", *WILSON],
+def _assert_close_cli(got, ref, eqs):
+    """CLI outputs of a flow that lengthens its step against the fixed-step
+    loop's: the same exit code, stderr and file names, byte-identical time
+    columns, states within the bound of ``assert_close_to_fixed_step`` of the
+    loop's equilibrium (logerr files: also the gap between the two
+    equilibria), and ``rate`` slopes within 1e-3 relative."""
+    (code, (out, err), files), (ref_code, (ref_out, ref_err), ref_files) = got, ref
+    assert (code, err, sorted(files)) == (ref_code, ref_err, sorted(ref_files))
+    eq, ref_eq = eqs
+    gap = np.max(np.abs(eq - ref_eq))
+    for name, text in files.items():
+        rows = [line.split(",") for line in text.decode().splitlines()]
+        ref_rows = [line.split(",") for line in ref_files[name].decode().splitlines()]
+        assert rows[0] == ref_rows[0] and [r[0] for r in rows] == [r[0] for r in ref_rows]
+        values = np.array([r[1:] for r in rows[1:]], dtype=float)
+        ref_values = np.array([r[1:] for r in ref_rows[1:]], dtype=float)
+        if name.endswith(".logerr.csv"):
+            values, ref_values = 10.0 ** values, 10.0 ** ref_values
+            dev, slack = np.max(ref_values, axis=1), gap
+        else:
+            dev, slack = np.max(np.abs(ref_values - ref_eq), axis=1), 0.0
+        assert np.all(np.max(np.abs(values - ref_values), axis=1) <= 1e-3 * dev + 1e-12 + slack)
+    if not files:  # rate: the JSON report on stdout
+        report, ref_report = json.loads(out), json.loads(ref_out)
+        assert report.keys() == ref_report.keys()
+        slopes, ref_slopes = (np.array(r.pop("measured_slopes")) for r in (report, ref_report))
+        assert np.all(np.abs(slopes - ref_slopes) <= 1e-3 * np.abs(ref_slopes))
+        for key in ("kappa_bound", "kappa_bound_symmetric", "R_n"):
+            if key in report:
+                assert report.pop(key) == pytest.approx(ref_report.pop(key), rel=1e-12)
+        assert report == ref_report
+    else:
+        assert out == ref_out
+
+
+@pytest.mark.parametrize("argv,exact", [
+    (["flow", *CH, "--output", "{tmp}/out.csv"], False),
+    (["flow", *WILSON, "--t-max", "10", "--output", "{tmp}/out.csv"], False),
+    (["flow", *JACOBI, "--step", "0.007", "--t-max", "1", "--output", "{tmp}/out.csv"], True),
+    (["rate", *EVEN], False),
+    (["rate", *JACOBI, "--step", "0.007", "--t-max", "1"], True),
+    (["roots", *CH, "--format", "json"], True),
+    (["roots", *JACOBI, "--format", "csv", "--output", "{tmp}/out.csv"], True),
+    (["verify", *CH], True),
+    (["verify", *WILSON], True),
 ], ids=["flow-ch", "flow-wilson", "flow-jacobi", "rate-ch-even", "rate-jacobi", "roots-ch",
         "roots-jacobi", "verify-ch", "verify-wilson"])
-def test_cli_outputs_are_byte_identical_to_the_value_test(argv, monkeypatch, tmp_path, capsys):
+def test_cli_outputs_are_byte_identical_to_the_value_test(argv, exact, monkeypatch, tmp_path,
+                                                          capsys):
+    # ``exact``: the request runs no flow, or one that keeps to one grid
+    # interval per step; the others lengthen their steps
     def run():
         code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
         files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -298,9 +362,23 @@ def test_cli_outputs_are_byte_identical_to_the_value_test(argv, monkeypatch, tmp
             p.unlink()
         return code, capsys.readouterr(), files
 
+    eqs = []  # the equilibria of the flows' Newton polish, from ``solve_roots``
+
+    def recorded(solve):
+        def solve_and_record(*args, **kwargs):
+            eqs.append(solve(*args, **kwargs))
+            return eqs[-1]
+        return solve_and_record
+
+    monkeypatch.setattr(flow, "newton_solve", recorded(flow.newton_solve))
     got = run()
     monkeypatch.setattr(flow, "integrate", value_integrate)
-    for module in (flow, cli, oracle):
+    for module in (cli, oracle):
         monkeypatch.setattr(module, "newton_solve", value_newton_solve)
-    assert got == run()
+    monkeypatch.setattr(flow, "newton_solve", recorded(value_newton_solve))
+    ref = run()
+    if exact:
+        assert got == ref
+    else:
+        _assert_close_cli(got, ref, eqs)
     assert got[0] == cli.EXIT_OK
