@@ -225,7 +225,9 @@ class _MorseEvaluator(_Evaluator):
         if self._sums:
             self._shift[1, n : 2 * n] = x
         if self._wide:
-            # an entry that overflows is +-inf, whose arctan is exact
+            # an entry that overflows is +-inf, whose arctan is exact. The
+            # other tables skip np.errstate: it adds ~2 us to an rhs of 5-11 us
+            # at n = 4-30 (2-vCPU Xeon)
             with np.errstate(over="ignore"):
                 return np.dot(self._lhs, self._shift, out=self._arg)
         return np.dot(self._lhs, self._shift, out=self._arg)
