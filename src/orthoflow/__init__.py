@@ -56,7 +56,6 @@ from .rates import (
     kappa_bound,
     kappa_continuous_hahn,
     kappa_continuous_hahn_symmetric,
-    kappa_wilson,
     measure_decay,
 )
 

@@ -2,11 +2,11 @@
 
 The integrator is the classical explicit 4th-order Runge-Kutta method on a
 recording grid of spacing ``FlowSettings.step``. A step spans m grid
-intervals. At m = 1, the shortest step, it is halved whenever the
-potential fails to decrease across it, and recovers by doubling; monotone
-descent is the natural cheap error monitor for these flows. Where the flow
-is smooth, m grows to 2, 4, 8, ...: RK4 with the rhs at x_new, which is the
-next step's first stage k1 (first same as last), carries a free embedded
+intervals. At m = 1, the shortest step, it is halved whenever the descent
+guard below refuses it, and recovers by doubling; monotone descent is the
+natural cheap error monitor for these flows. Where the flow is smooth, m
+grows to 2, 4, 8, ...: RK4 with the rhs at x_new, which is the next step's
+first stage k1 (first same as last), carries a free embedded
 third-order solution, (1, 2, 2, 0, 1)/6 on (k1, ..., k5), whose distance
 from x_new is (h/6)(k4 - k5) (Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.4). A lengthened step is kept while that estimate is at most
@@ -20,19 +20,19 @@ edge, where the fast modes ring at tolerance level. A flow stalls
 per grid interval of t_max at a step below ``_STALL_FRACTION`` of the grid
 interval. Only a stall has such steps for so long: a stiff flow that still
 progresses, such as a Jacobi flow at a large degree, steps near its stability
-edge, which shrinks with n; at step 0.05 its smallest step is 2^-6 of the
-interval at n = 40 and 2^-12 at n = 200.
+edge, which shrinks with n; at step 0.05 and (alpha, beta) = (1/2, 1/2)
+its smallest step is 2^-5 of the interval at n = 40, 2^-7 at n = 60, 2^-9
+at n = 100 and 2^-12 at n = 200.
 
 Every potential is convex on its (convex) domain, so a step from x to x_new
 cannot raise it when the slope grad V(x_new) . (x_new - x) is not positive
 (the first-order condition of convexity). The descent guard is this
-certificate, read off the rhs at x_new (``_Evaluator.slope``), which an
-accepted step reuses as the next step's first stage (first same as last).
-Only when the slope is positive or NaN does the guard fall back to the value
-test, V(x_new) <= V(x) up to ``_DESCENT_SLACK``, evaluating the potential at
-x once per state and at x_new. An accepted step thus costs four evaluations
-and, in nearly every step, no potential. Newton's line search applies the
-same rule with the gradient at its trial, which is also the next gradient.
+certificate alone, read off the rhs at x_new (``_Evaluator.slope``), which an
+accepted step reuses as the next step's first stage (first same as last): a
+positive or NaN slope refuses the step. An accepted step thus costs four
+evaluations and no potential. Newton's line search tries the same
+certificate with the gradient at its trial, which is also the next gradient,
+and falls back to the value test V(x_new) <= V(x) up to ``_DESCENT_SLACK``.
 
 Each ``integrate`` and ``newton_solve`` call builds one evaluator for its
 (kind, n) (see ``potentials``) and keeps it for the run only. At the flows'
@@ -147,7 +147,8 @@ def _below(v: np.ndarray, tol: float) -> bool:
 
 
 def _value_descends(v: float, v_new: float) -> bool:
-    """The fallback descent test: V(x_new) <= V(x) up to the roundoff slack."""
+    """Newton's fallback descent test: V(x_new) <= V(x) up to the roundoff
+    slack."""
     return bool(np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)))
 
 
@@ -171,12 +172,10 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     A trial step dx is accepted when the slope grad V(x_new) . dx, read off
     the rhs at x_new, is not positive: V is convex, so then V(x_new) <=
     V(x). In floating point a computed slope <= 0 can hide a true slope of
-    about n eps |rhs| |dx|_1 (plus eps |rhs| |x_new|_1 from rounding x + dx),
-    a possible rise in V far below the ``_DESCENT_SLACK`` (1 + |V|) that the
-    value test allows. A positive or NaN slope falls back to that value
-    test, with V(x) evaluated once per state; a step of one grid interval
-    that leaves the domain (``DomainViolation``) or fails both tests is
-    halved.
+    about n eps |rhs| |dx|_1 (plus eps |rhs| |x_new|_1 from rounding x + dx).
+    The potential itself is never evaluated. A step of one grid interval
+    whose slope is positive or NaN, or that leaves the domain
+    (``DomainViolation``), is halved.
 
     A step spans m grid intervals of ``settings.step`` (the shortest step
     the lengthening chooses). m doubles after an accepted step whose error
@@ -206,7 +205,6 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     times = [0.0]
     states = [x]
     k1 = ev.rhs(x)
-    v = None  # V(x), evaluated only for the fallback test
     buf = np.empty(n)
     intervals = stalled = 0
     budget = _TRIALS_PER_INTERVAL * math.ceil(t_max / step)
@@ -243,13 +241,8 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
                     # judges this step if lengthened, and the next one's length
                     err = h_try / 6.0 * np.abs(k4 - k1_new).max()
                     size = _ERR_TOL * np.abs(dx).max()
-                ok = m == 1 or err <= size
-                v_new = None
-                if ok and not ev.slope(x_new, k1_new, dx) <= 0.0:  # positive or NaN
-                    if v is None:
-                        v = ev.value(x)
-                    v_new = ev.value(x_new)
-                    ok = _value_descends(v, v_new)
+                # a NaN slope refuses the step too
+                ok = (m == 1 or err <= size) and ev.slope(x_new, k1_new, dx) <= 0.0
                 if ok and inner:
                     samples = _hermite(x, k1, x_new, k1_new, h_try,
                                        [(u - t) / h_try for u in inner])
@@ -266,10 +259,11 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
             h_min = min(h_min, h_one)
             if h_one < _MIN_STEP:
                 raise StepUnderflow(
-                    f"step halving underflowed at t={t:.6g} (domain singularity?)"
+                    f"step halving underflowed at t={t:.6g}: no step down to {_MIN_STEP:g} "
+                    "certified descent"
                 )
         # x_new is a fresh array that nothing writes to, so it is recorded as is
-        x, v, k1 = x_new, v_new, k1_new
+        x, k1 = x_new, k1_new
         t = ends[m - 1] if m > 1 else t + h_try
         intervals += m
         times += inner
@@ -293,10 +287,12 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
 def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
     """Damped Newton descent on the potential down to gradient max-norm tol.
 
-    The line search halves the damping until a trial descends, by the same
-    rule as ``integrate``: the convexity certificate grad V(x_try) .
-    (x_try - x) <= 0, whose gradient is the next iteration's, and otherwise
-    the value test, with V(x) evaluated once per iterate.
+    The line search halves the damping until a trial descends: by the
+    convexity certificate grad V(x_try) . (x_try - x) <= 0, whose gradient
+    is the next iteration's, as in ``integrate``, and otherwise by the value
+    test, with V(x) evaluated once per iterate. A Hessian that is singular
+    to working precision raises ``SingularHessian``, naming the iteration
+    and |x|_inf.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
@@ -306,14 +302,17 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
     ev = evaluator(kind, x.size)
     g = ev.gradient(x)
     v = None  # V(x), evaluated only for the fallback test
-    for _ in range(max_iter):
+    for iteration in range(max_iter):
         if _below(g, tol):
             return x
         h = ev.hessian(x)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError as exc:
-            raise SingularHessian(str(exc)) from exc
+            raise SingularHessian(
+                "the Hessian is singular to working precision at Newton iteration "
+                f"{iteration} (|x|_inf = {np.abs(x).max():.3g}): {exc}"
+            ) from exc
         damping = 1.0
         while damping >= _MIN_STEP:
             x_try = x + damping * step

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples
-from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
+from .params import ContinuousHahnParams, Family, JacobiParams
 from .potentials import PotentialKind
 from .flow import Trajectory
 
@@ -39,55 +39,43 @@ def _param_term(a: complex, r: float) -> float:
     return a.real / h / h
 
 
-def kappa_continuous_hahn(p: ContinuousHahnParams, r_n: float) -> float:
-    """Right endpoint of the admissible decay-rate interval (full flow)."""
-    if r_n < 0:
-        raise ValueError("R_n must be nonnegative")
-    return _param_term(p.a, r_n) + _param_term(p.b, r_n)
+def kappa_bound(kind: PotentialKind, n: int, r_n: float) -> float:
+    """Decay-rate bound of the flow of ``kind`` at degree n >= 1, whose
+    equilibrium has R_n = max_j |x_j*|.
 
-
-def _wilson_terms(values, m: int, r_n: float) -> float:
-    if r_n < 0:
-        raise ValueError("R_n must be nonnegative")
-    crowd = 2.0 * (m - 1) / (1.0 + 4.0 * r_n * r_n)
-    return crowd + sum(_param_term(e, r_n) for e in values)
-
-
-def kappa_wilson(p: WilsonParams, n: int, r_n: float) -> float:
-    """Right endpoint of the Wilson decay-rate interval."""
+    Continuous Hahn: the parameter terms of ``_param_term``. Jacobi: the
+    guaranteed rate 2n + alpha + beta, independent of R_n. Wilson: the
+    parameter terms plus the crowd term 2(n - 1)/(1 + 4 R_n^2). A reduced
+    system of n = m roots is a Wilson flow, and its bound is the
+    parity-symmetric bound of the full degree-2m or 2m+1 flow.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _wilson_terms(p.values, n, r_n)
+    if r_n < 0:
+        raise ValueError("R_n must be nonnegative")
+    fam, p = kind.family, kind.params
+    if fam is Family.JACOBI:
+        return 2.0 * n + p.alpha + p.beta
+    if fam is Family.CONTINUOUS_HAHN:
+        return _param_term(p.a, r_n) + _param_term(p.b, r_n)
+    crowd = 2.0 * (n - 1) / (1.0 + 4.0 * r_n * r_n)
+    return crowd + sum(_param_term(e, r_n) for e in fam.wilson_params(p).values)
+
+
+def kappa_continuous_hahn(p: ContinuousHahnParams, r_n: float) -> float:
+    """``kappa_bound`` of the full continuous Hahn flow, at any degree."""
+    return kappa_bound(PotentialKind(Family.CONTINUOUS_HAHN, p), 1, r_n)
 
 
 def kappa_continuous_hahn_symmetric(p: ContinuousHahnParams, n: int, r_n: float) -> float:
-    """Improved rate endpoint valid for parity-symmetric initial conditions:
-    the Wilson bound of the parity-reduced system, with m = n // 2 roots and
-    the extra parameters (c, d) = (1/2, n mod 2)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _wilson_terms(Family.reduction(n).wilson_params(p).values, n // 2, r_n)
+    """``kappa_bound`` of the parity-reduced system of the degree-n flow,
+    which holds for parity-symmetric starts; n >= 2."""
+    return kappa_bound(PotentialKind(Family.reduction(n), p), n // 2, r_n)
 
 
 def jacobi_kappa(p: JacobiParams, n: int) -> float:
-    """Guaranteed exponential decay rate 2n + alpha + beta of the Jacobi flow."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return 2.0 * n + p.alpha + p.beta
-
-
-def kappa_bound(kind: PotentialKind, n: int, r_n: float) -> float:
-    """Decay-rate bound of the flow of ``kind`` at degree n, whose
-    equilibrium has R_n = max_j |x_j*| (the reduced systems are Wilson
-    flows, and their bound is the parity-symmetric bound of the full
-    degree-2n or 2n+1 flow)."""
-    fam = kind.family
-    p = kind.params
-    if fam is Family.CONTINUOUS_HAHN:
-        return kappa_continuous_hahn(p, r_n)
-    if fam is Family.JACOBI:
-        return jacobi_kappa(p, n)
-    return kappa_wilson(fam.wilson_params(p), n, r_n)
+    """``kappa_bound`` of the Jacobi flow: 2n + alpha + beta."""
+    return kappa_bound(PotentialKind(Family.JACOBI, p), n, 0.0)
 
 
 def measure_decay(

@@ -24,8 +24,8 @@ from orthoflow import (
     hessian,
     jacobi_kappa,
     kappa_continuous_hahn,
+    kappa_bound,
     kappa_continuous_hahn_symmetric,
-    kappa_wilson,
     measure_decay,
     monic_continuous_hahn,
     monic_jacobi,
@@ -85,7 +85,7 @@ def test_criterion_3_rate_bound_values(ch30_run, w15_run):
     _, eq_ch = ch30_run
     _, eq_w = w15_run
     k_ch = kappa_continuous_hahn(CH30_PARAMS, float(np.max(np.abs(eq_ch))))
-    k_w = kappa_wilson(W15_PARAMS, 15, float(np.max(np.abs(eq_w))))
+    k_w = kappa_bound(PotentialKind(Family.WILSON, W15_PARAMS), 15, float(np.max(np.abs(eq_w))))
     assert k_ch == pytest.approx(0.030, abs=1e-3)
     assert k_w == pytest.approx(0.061, abs=1e-3)
     print(f"criterion 3: PASS - kappa_ch={k_ch:.4f}~0.030, kappa_w={k_w:.4f}~0.061")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from orthoflow import WilsonParams, kappa_wilson
+from orthoflow import Family, PotentialKind, WilsonParams, kappa_bound
 from orthoflow.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_number
 
 
@@ -364,4 +364,5 @@ def test_rate_symmetric_bound_is_the_reduced_wilson_bound(capsys):
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         p = WilsonParams(2.0, 1.0, 0.5, 0.0, allow_boundary=True)
-        assert payload["kappa_bound_symmetric"] == kappa_wilson(p, n // 2, payload["R_n"])
+        wilson = PotentialKind(Family.WILSON, p)
+        assert payload["kappa_bound_symmetric"] == kappa_bound(wilson, n // 2, payload["R_n"])

@@ -1,11 +1,13 @@
 """The convexity certificate that guards descent in the integrator and in
 Newton's line search, against verbatim copies of the value-test loops it
 replaced: the certificate never accepts a step that the value test would
-refuse, the potential drops out of steps that are not halved, and Newton
-roots stay bitwise equal. Times and states stay bitwise equal where the
-integrator keeps to one grid interval per step; where it lengthens its step
-they obey ``assert_close_to_fixed_step``, and so do the CLI outputs of those
-flows."""
+refuse, the integrator never evaluates the potential, and Newton roots stay
+bitwise equal. Times and states stay bitwise equal where the integrator
+keeps to one grid interval per step; where it lengthens its step they obey
+``assert_close_to_fixed_step``, and so do the CLI outputs of those flows.
+Where it halves its step, a refused certificate and the value test refuse
+different steps, and the trajectories are compared with Radau
+(``assert_halved_like_the_loop``)."""
 
 import json
 
@@ -21,7 +23,6 @@ from orthoflow import (
     StepUnderflow,
     Trajectory,
     default_start,
-    equispaced_start,
     integrate,
     jacobi_kappa,
     newton_solve,
@@ -35,10 +36,13 @@ from test_flow_kernel import (
     FAMILIES,
     _trajectory_case,
     assert_close_to_fixed_step,
+    assert_halved_like_the_loop,
+    assert_potential_does_not_rise,
+    count_potential,
     draw_config,
     draw_kind,
+    halving_case,
     lengthened_starts,
-    ref_integrate,
 )
 
 
@@ -181,23 +185,10 @@ def test_a_non_positive_slope_certifies_descent(family, n):
     assert signs == {True, False}, "the draws must give slopes of both signs"
 
 
-def _count_potential(monkeypatch):
-    calls = []
-    for cls in (potentials._MorseEvaluator, potentials._JacobiEvaluator):
-        method = cls.value
-
-        def counted(self, x, _method=method):
-            calls.append(1)
-            return _method(self, x)
-
-        monkeypatch.setattr(cls, "value", counted)
-    return calls
-
-
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
 def test_steps_that_are_not_halved_evaluate_no_potential(family, seed, monkeypatch):
-    calls = _count_potential(monkeypatch)
+    calls = count_potential(monkeypatch)
     kind, x0, settings = _trajectory_case(family, seed)
     traj = integrate(kind, x0, settings)
     assert np.allclose(np.diff(traj.times)[:-1], settings.step), "a step was halved"
@@ -205,19 +196,25 @@ def test_steps_that_are_not_halved_evaluate_no_potential(family, seed, monkeypat
     assert calls == []
 
 
-def test_a_refused_certificate_falls_back_to_the_value_test(monkeypatch):
+def test_a_refused_certificate_halves_the_step(monkeypatch):
     # test_flow_kernel's continuous Hahn halving case: steps overshoot, the
-    # slope turns positive and the value test decides
-    rng = np.random.default_rng(3)
-    kind = draw_kind(FlowFamily.CONTINUOUS_HAHN, rng)
-    x0, settings = rng.uniform(-20.0, 20.0, 6), FlowSettings(step=2.0, t_max=20.0)
-    calls = _count_potential(monkeypatch)
+    # slope turns positive, and the step is halved without evaluating the
+    # potential
+    kind, x0, settings = halving_case(FlowFamily.CONTINUOUS_HAHN)
+    slopes = []
+    slope = potentials._MorseEvaluator.slope
+
+    def recorded(self, *args):
+        slopes.append(slope(self, *args))
+        return slopes[-1]
+
+    monkeypatch.setattr(potentials._MorseEvaluator, "slope", recorded)
+    calls = count_potential(monkeypatch)
     traj = integrate(kind, x0, settings)
-    assert len(calls) >= 1
+    assert calls == []
+    assert max(slopes) > 0.0, "no certificate was refused"
     assert np.any(np.diff(traj.times)[:-1] < settings.step), "no step was halved"
-    times, states = ref_integrate(kind, x0, settings)
-    assert np.array_equal(traj.times, times)
-    assert np.max(np.abs(traj.states - states)) <= 1e-12
+    assert_potential_does_not_rise(kind, traj.states)
 
 
 # -- same results as the value test ------------------------------------------------
@@ -247,30 +244,24 @@ def _outcome(solve, *args, **kwargs):
         return repr(exc)
 
 
-def _same_runs(kind, x0, settings):
-    traj, ref = integrate(kind, x0, settings), value_integrate(kind, x0, settings)
-    assert np.array_equal(traj.times, ref.times)
-    assert np.array_equal(traj.states, ref.states)
-    # from the flow's endpoint as ``solve_roots`` and the trajectory workload
-    # do, and from the start as ``roots`` and ``full_verify`` do; Jacobi
-    # misses 1e-12 from n = 18, so the failures must agree too
-    for start, tol in ((traj.states[-1], 1e-11), (default_start(kind, x0.size), 1e-12)):
+def _same_roots(kind, end, n):
+    """Newton and the value-test Newton, bitwise: from the flow's endpoint as
+    ``solve_roots`` and the trajectory workload do, and from the start as
+    ``roots`` and ``full_verify`` do; Jacobi misses 1e-12 from n = 18, so the
+    failures must agree too."""
+    for start, tol in ((end, 1e-11), (default_start(kind, n), 1e-12)):
         got, ref = _outcome(newton_solve, kind, start, tol=tol), \
             _outcome(value_newton_solve, kind, start, tol=tol)
         assert type(got) is type(ref) and np.array_equal(got, ref)
 
 
 def _close_runs(kind, x0, settings, monkeypatch):
-    """``_same_runs`` for flows that lengthen their step: the trajectory
-    obeys ``assert_close_to_fixed_step``, and Newton, from the flow's
-    endpoint and from the start, stays bitwise equal."""
+    """Flows that lengthen their step: the trajectory obeys
+    ``assert_close_to_fixed_step``, and Newton stays bitwise equal."""
     starts = lengthened_starts(monkeypatch)
     traj, ref = integrate(kind, x0, settings), value_integrate(kind, x0, settings)
     assert_close_to_fixed_step(kind, settings, traj, ref.times, ref.states, starts)
-    for start, tol in ((traj.states[-1], 1e-11), (default_start(kind, x0.size), 1e-12)):
-        got, ref = _outcome(newton_solve, kind, start, tol=tol), \
-            _outcome(value_newton_solve, kind, start, tol=tol)
-        assert type(got) is type(ref) and np.array_equal(got, ref)
+    _same_roots(kind, traj.states[-1], x0.size)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
@@ -283,15 +274,17 @@ def test_same_trajectories_and_roots_as_the_value_test(family, monkeypatch):
 
 @pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.JACOBI],
                          ids=lambda f: f.value)
-def test_same_trajectories_and_roots_through_step_halving(family):
-    # steps far above the stable one: descent failures and domain exits
-    rng = np.random.default_rng(3)
-    kind = draw_kind(family, rng)
-    if family is FlowFamily.JACOBI:
-        x0, settings = equispaced_start(6), FlowSettings(step=0.2, t_max=1.0)
-    else:
-        x0, settings = rng.uniform(-20.0, 20.0, 6), FlowSettings(step=2.0, t_max=20.0)
-    _same_runs(kind, x0, settings)
+def test_same_roots_and_accuracy_through_step_halving(family, monkeypatch):
+    # steps far above the stable one: refused certificates and domain exits;
+    # the value test refuses other steps than the certificate, so the
+    # trajectories are compared with Radau, and Newton stays bitwise equal
+    kind, x0, settings = halving_case(family)
+    calls = count_potential(monkeypatch)
+    traj = integrate(kind, x0, settings)
+    assert calls == []
+    ref = value_integrate(kind, x0, settings)
+    assert_halved_like_the_loop(kind, x0, settings, traj, ref.times, ref.states)
+    _same_roots(kind, traj.states[-1], x0.size)
     # Newton from the far start damps its first steps
     got, ref = newton_solve(kind, x0, tol=1e-11), value_newton_solve(kind, x0, tol=1e-11)
     assert np.array_equal(got, ref)

@@ -3,10 +3,13 @@ one formula branch per family for the potential and its gradient, and the
 fixed-step RK4 loop that evaluated the rhs and the potential separately
 (five calls per accepted step). Where the integrator lengthens its step, its
 samples are compared with the loop's within a bound relative to the
-distance from equilibrium (``assert_close_to_fixed_step``)."""
+distance from equilibrium (``assert_close_to_fixed_step``). Where it halves
+its step, the loop's value test and the integrator's convexity certificate
+refuse different steps, so both are compared with Radau instead."""
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from orthoflow import (
     BranchCrossing,
@@ -233,9 +236,47 @@ def _trajectory_case(family, seed):
     return kind, rng.uniform(-3.0, 3.0, n), FlowSettings(step=0.05, t_max=4.0, grad_tol=1e-13)
 
 
-def _assert_same_trajectory(traj: Trajectory, times, states):
-    assert np.array_equal(traj.times, times)
-    assert np.max(np.abs(traj.states - states)) <= 1e-12
+def count_potential(monkeypatch) -> list:
+    """One entry per evaluation of the potential by any evaluator."""
+    calls = []
+    for cls in (potentials._MorseEvaluator, potentials._JacobiEvaluator):
+        method = cls.value
+
+        def counted(self, x, _method=method):
+            calls.append(1)
+            return _method(self, x)
+
+        monkeypatch.setattr(cls, "value", counted)
+    return calls
+
+
+def radau_states(kind, x0, times) -> np.ndarray:
+    """The flow from x0 at the given times, by scipy's Radau at rtol 1e-12."""
+    ev = evaluator(kind, len(x0))
+    sol = solve_ivp(lambda _, y: ev.rhs(y), (0.0, times[-1]), x0, method="Radau",
+                    t_eval=times, rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y.T
+
+
+def assert_potential_does_not_rise(kind, states):
+    """V over the recorded samples, up to the roundoff slack of a certified
+    step: 1e-12 (1 + |V|)."""
+    ev = evaluator(kind, states.shape[1])
+    v = np.array([ev.value(x) for x in states])
+    assert np.all(np.diff(v) <= 1e-12 * (1.0 + np.abs(v[:-1])))
+
+
+def assert_halved_like_the_loop(kind, x0, settings, traj: Trajectory, times, states):
+    """A trajectory whose steps are halved against a fixed-step loop's run of
+    the same settings (``times``, ``states``): a step was halved, V does not
+    rise over the samples, and the largest error against Radau is the
+    loop's, up to 1e-12."""
+    assert np.any(np.diff(traj.times)[:-1] < settings.step), "no step was halved"
+    assert_potential_does_not_rise(kind, traj.states)
+    err = np.max(np.abs(traj.states - radau_states(kind, x0, traj.times)))
+    ref_err = np.max(np.abs(states - radau_states(kind, x0, times)))
+    assert err <= ref_err + 1e-12
 
 
 def lengthened_starts(monkeypatch) -> list:
@@ -286,21 +327,25 @@ def test_integrate_matches_the_five_evaluation_loop(family, seed, monkeypatch):
     assert_close_to_fixed_step(kind, settings, traj, *ref_integrate(kind, x0, settings), starts)
 
 
-@pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.JACOBI],
-                         ids=lambda f: f.value)
-def test_integrate_matches_the_reference_through_step_halving(family):
-    # a step far above the stable one: CH overshoots until the descent test
-    # halves it, Jacobi steps leave (-1, 1) and are halved on DomainViolation
+def halving_case(family):
+    """A step far above the stable one: CH overshoots until the descent
+    guard halves it, Jacobi steps leave (-1, 1) and are halved on
+    DomainViolation."""
     rng = np.random.default_rng(3)
     kind = draw_kind(family, rng)
     if family is FlowFamily.JACOBI:
-        x0, settings = equispaced_start(6), FlowSettings(step=0.2, t_max=1.0)
-    else:
-        x0, settings = rng.uniform(-20.0, 20.0, 6), FlowSettings(step=2.0, t_max=20.0)
+        return kind, equispaced_start(6), FlowSettings(step=0.2, t_max=1.0)
+    return kind, rng.uniform(-20.0, 20.0, 6), FlowSettings(step=2.0, t_max=20.0)
+
+
+@pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.JACOBI],
+                         ids=lambda f: f.value)
+def test_integrate_matches_the_reference_through_step_halving(family, monkeypatch):
+    kind, x0, settings = halving_case(family)
+    calls = count_potential(monkeypatch)
     traj = integrate(kind, x0, settings)
-    steps = np.diff(traj.times)
-    assert np.any(steps[:-1] < settings.step), "no step was halved"
-    _assert_same_trajectory(traj, *ref_integrate(kind, x0, settings))
+    assert calls == []
+    assert_halved_like_the_loop(kind, x0, settings, traj, *ref_integrate(kind, x0, settings))
 
 
 # -- evaluation count ------------------------------------------------------------

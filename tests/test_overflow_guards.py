@@ -131,6 +131,22 @@ def test_cli_overflowing_shift_is_a_validation_error(command, family, names, re,
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("params,norm", [
+    (["--a", "1e-300+1i", "--b", "1e-300-1i"], "0"),
+    (["--a", "1", "--b", "1", "--init", "custom", "--x0", "1e8x3"], "1e+08"),
+], ids=["lorentzians-underflow", "far-start"])
+def test_cli_singular_hessian_names_its_cause(params, norm, capsys):
+    # at zeros the 1e-300 parameters' Lorentzians underflow, and at 1e8 they
+    # vanish beside the pair terms' 1: either way the Hessian is the pair
+    # Laplacian, singular, to working precision
+    assert main(["roots", "--family", "ch", "--n", "3", *params]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: SingularHessian: the Hessian is singular to working precision "
+        f"at Newton iteration 0 (|x|_inf = {norm}): Singular matrix\n"
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.REDUCED_EVEN,
                                     FlowFamily.REDUCED_ODD], ids=lambda f: f.value)
 def test_potential_of_a_tiny_parameter_is_finite(family):

@@ -10,14 +10,19 @@ from orthoflow import (
     PotentialKind,
     Trajectory,
     WilsonParams,
+    default_start,
+    gradient,
+    hessian,
+    kappa_bound,
     kappa_continuous_hahn,
     kappa_continuous_hahn_symmetric,
-    kappa_wilson,
     measure_decay,
+    newton_solve,
 )
 
 from orthoflow.rates import _param_term
 from conftest import random_ch_params
+from test_flow_kernel import FAMILIES, draw_kind
 
 _KIND = PotentialKind(FlowFamily.CONTINUOUS_HAHN, ContinuousHahnParams(1.0, 1.0))
 
@@ -31,16 +36,21 @@ def test_kappa_ch_conjugate_pair_origin():
     assert kappa_continuous_hahn(p, 0.0) == pytest.approx(1.0)
 
 
+_WILSON_UNIT = PotentialKind(FlowFamily.WILSON, WilsonParams(1.0, 1.0, 1.0, 1.0))
+
+
 def test_kappa_wilson_unit_parameters():
-    p = WilsonParams(1.0, 1.0, 1.0, 1.0)
-    assert kappa_wilson(p, 1, 0.0) == pytest.approx(4.0)
-    assert kappa_wilson(p, 2, 0.0) == pytest.approx(6.0)
+    assert kappa_bound(_WILSON_UNIT, 1, 0.0) == pytest.approx(4.0)
+    assert kappa_bound(_WILSON_UNIT, 2, 0.0) == pytest.approx(6.0)
 
 
 def test_kappa_symmetric_n1():
-    # odd n = 1: one particle pinned at the origin contributes 1/(1 + R^2)
+    # odd n = 1: the reduced system has m = 0 roots and no bound; the n = 1
+    # flow's one rate is H(0) = 2 at (1, 1), the plain bound
     p = ContinuousHahnParams(1.0, 1.0)
-    assert kappa_continuous_hahn_symmetric(p, 1, 0.0) == pytest.approx(3.0)
+    with pytest.raises(ValueError):
+        kappa_continuous_hahn_symmetric(p, 1, 0.0)
+    assert kappa_continuous_hahn(p, 0.0) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -66,7 +76,7 @@ def test_symmetric_even_decomposition():
     "fn",
     [
         lambda p, r: kappa_continuous_hahn(p, r),
-        lambda p, r: kappa_wilson(WilsonParams(1, 1, 1, 1), 5, r),
+        lambda p, r: kappa_bound(_WILSON_UNIT, 5, r),
         lambda p, r: kappa_continuous_hahn_symmetric(p, 5, r),
     ],
 )
@@ -81,7 +91,7 @@ def test_bounds_reject_negative_radius():
     with pytest.raises(ValueError):
         kappa_continuous_hahn(ContinuousHahnParams(1, 1), -0.1)
     with pytest.raises(ValueError):
-        kappa_wilson(WilsonParams(1, 1, 1, 1), 0, 1.0)
+        kappa_bound(_WILSON_UNIT, 0, 1.0)
 
 
 def _synthetic_trajectory(rate, eq, amp, t_max=10.0, dt=0.1):
@@ -140,3 +150,38 @@ def test_param_term_matches_the_exact_quotient(a, r):
     got = _param_term(complex(a), r)
     assert got == pytest.approx(_exact_param_term(complex(a), r), rel=4 * 2.0**-52)
 
+
+
+# -- the bounds against the true rates ----------------------------------------------
+
+def _equilibria(family, n):
+    """Four conftest draws of ``family`` with their equilibria: Newton's,
+    and one more full Newton step, which takes the gradient from the
+    tolerance to the rounding level."""
+    rng = np.random.default_rng([n, 53, FAMILIES.index(family)])
+    for _ in range(4):
+        kind = draw_kind(family, rng)
+        eq = newton_solve(kind, default_start(kind, n))
+        yield kind, eq - np.linalg.solve(hessian(kind, eq), gradient(kind, eq))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f is not FlowFamily.JACOBI],
+                         ids=lambda f: f.value)
+def test_kappa_is_at_most_the_slowest_linear_rate(family, n):
+    # the linearised flow at x* decays at the eigenvalues of H(x*); at n = 1
+    # the bound is tight, up to rounding
+    for kind, eq in _equilibria(family, n):
+        lam = np.linalg.eigvalsh(hessian(kind, eq))[0]
+        assert kappa_bound(kind, n, float(np.max(np.abs(eq)))) <= lam * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+def test_jacobi_kappa_is_the_slowest_linear_rate(n):
+    # the mobility-weighted flow linearises to M H with M = diag 2(1 - x^2),
+    # whose eigenvalues are those of M^{1/2} H M^{1/2}
+    for kind, eq in _equilibria(FlowFamily.JACOBI, n):
+        root_m = np.sqrt(2.0 * (1.0 - eq * eq))
+        lam = np.linalg.eigvalsh(root_m[:, None] * hessian(kind, eq) * root_m[None, :])[0]
+        kappa = kappa_bound(kind, n, float(np.max(np.abs(eq))))
+        assert abs(lam - kappa) <= 1e-12 * kappa

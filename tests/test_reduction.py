@@ -15,8 +15,8 @@ from orthoflow import (
     full_verify,
     gradient,
     hessian,
+    kappa_bound,
     kappa_continuous_hahn_symmetric,
-    kappa_wilson,
     potential,
 )
 from orthoflow.cli import EXIT_OK, main
@@ -65,9 +65,9 @@ def test_even_reduced_system_is_the_wilson_flow_at_d_to_zero(m):
 @pytest.mark.parametrize("m", DEGREES)
 def test_symmetric_odd_bound_is_the_wilson_bound(m):
     for p, _ in _draws(m, 3):
-        wilson = WilsonParams(p.a, p.b, 0.5, 1.0)
+        wilson = PotentialKind(Family.WILSON, WilsonParams(p.a, p.b, 0.5, 1.0))
         for r in (0.0, 0.7, 12.0):
-            assert kappa_continuous_hahn_symmetric(p, 2 * m + 1, r) == kappa_wilson(wilson, m, r)
+            assert kappa_continuous_hahn_symmetric(p, 2 * m + 1, r) == kappa_bound(wilson, m, r)
 
 
 @pytest.mark.parametrize("m", DEGREES)

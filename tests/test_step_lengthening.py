@@ -1,19 +1,27 @@
 """The integrator's lengthened steps: accuracy against an independent
 high-order integrator, the recorded grid, the Jacobi domain, the work saved,
-and the trial budget that ends a stalled flow."""
+the trial budget that ends a stalled flow, and the default-step Jacobi
+flows, which converge."""
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from orthoflow import FlowFamily, FlowSettings, default_start, integrate, newton_solve
-from orthoflow import potentials
+from orthoflow import flow, potentials
+from orthoflow.flow import _TRIALS_PER_INTERVAL
 from orthoflow.cli import EXIT_NUMERICAL, main
 from orthoflow.params import Family, JacobiParams
 from orthoflow.potentials import PotentialKind, evaluator, in_domain
 
 from test_descent_certificate import WORKLOAD_DEGREES, _workload_settings, value_integrate
-from test_flow_kernel import FAMILIES, assert_close_to_fixed_step, draw_kind, lengthened_starts
+from test_flow_kernel import (
+    FAMILIES,
+    assert_close_to_fixed_step,
+    draw_kind,
+    lengthened_starts,
+    radau_states,
+)
 
 DEGREES = [1, 2, 7, 33]
 
@@ -88,24 +96,59 @@ def _count_rhs(monkeypatch):
 
 
 def test_a_stalled_flow_ends_in_a_numerical_failure(tmp_path, capsys):
-    # 1/Re a = 1e300 makes the flow so stiff that the step stays near 1e-11;
-    # it used to run for ~1e12 steps; the trial count bounds the run
-    argv = ["flow", "--family", "ch", "--n", "3", "--a", "1e-300+1i", "--b", "1e-300-1i",
-            "--output", str(tmp_path / "f.csv")]
-    assert main(argv) == EXIT_NUMERICAL
-    out, err = capsys.readouterr()
-    assert out == ""
+    # 1/Re a = 1e300 makes the flow so stiff that no step of at least 1e-12
+    # certifies descent: the halving ends it; at 1/Re a = 1e12 the step stays
+    # near 1e-11, where it used to run for ~1e12 steps: the trial count
+    # bounds the run
+    def run(a, b):
+        argv = ["flow", "--family", "ch", "--n", "3", "--a", a, "--b", b,
+                "--output", str(tmp_path / "f.csv")]
+        assert main(argv) == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    err = run("1e-300+1i", "1e-300-1i")
+    assert err.startswith("numerical failure: StepUnderflow: step halving underflowed at t=")
+    assert err.endswith(": no step down to 1e-12 certified descent\n")
+    err = run("1e-12+1i", "1e-12-1i")
     assert err.startswith("numerical failure: StepUnderflow: the flow stalled at t=")
     assert "of t_max=30: 38400 step trials below 4.77e-08, smallest step " in err
 
 
-def test_a_stiff_flow_that_progresses_is_not_a_stall():
+def test_a_stiff_flow_that_progresses_is_not_a_stall(monkeypatch):
     # the Jacobi step near its stability edge shrinks like 1/n^2: at n = 60 and
-    # the default step each grid interval takes ~136 halved trials, more than
+    # the default step each grid interval takes ~130 halved trials, more than
     # the 64 per interval that end a stall, but none below the stall step
     kind = PotentialKind(Family.JACOBI, JacobiParams(0.5, 0.5))
     settings = FlowSettings(step=0.05, t_max=1.0)
-    assert integrate(kind, default_start(kind, 60), settings).times[-1] == 1.0
+    trials = []
+    rk4_step = flow._rk4_step
+
+    def counted_trial(*args):
+        trials.append(1)
+        return rk4_step(*args)
+
+    monkeypatch.setattr(flow, "_rk4_step", counted_trial)
+    x0 = default_start(kind, 60)
+    traj = integrate(kind, x0, settings)
+    assert len(trials) > _TRIALS_PER_INTERVAL * traj.times[-1] / settings.step
+    assert np.max(np.abs(traj.states[-1] - newton_solve(kind, x0))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 18, 33])
+def test_default_step_jacobi_flows_converge(n):
+    # at the default step the Jacobi flow rings at its stability edge; the
+    # certificate refuses those steps, so the flow meets grad_tol early,
+    # and its end is the flow's (Radau) and Newton's
+    kind = PotentialKind(Family.JACOBI, JacobiParams(0.5, 0.25))
+    x0 = default_start(kind, n)
+    traj = integrate(kind, x0, FlowSettings(step=0.05, grad_tol=1e-10))
+    assert traj.times[-1] < 2.0
+    end = traj.states[-1]
+    assert np.max(np.abs(evaluator(kind, n).rhs(end))) < 1e-10
+    assert np.max(np.abs(end - radau_states(kind, x0, traj.times[-1:])[-1])) <= 1e-9
+    assert np.max(np.abs(end - newton_solve(kind, x0))) <= 1e-9
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
