@@ -28,7 +28,6 @@ from orthoflow import (
     PotentialKind,
     WilsonParams,
     kappa_bound,
-    kappa_continuous_hahn_symmetric,
     measure_decay,
     solve_roots,
 )
@@ -72,7 +71,9 @@ def main():
     r_n = float(np.max(np.abs(eq)))
     bounds = {
         "kappa (plain)": kappa_bound(ch_kind, 30, r_n),
-        "kappa (parity-symmetric)": kappa_continuous_hahn_symmetric(ch_params, 30, r_n),
+        "kappa (parity-symmetric)": kappa_bound(
+            PotentialKind(Family.reduction(30), ch_params), 30 // 2, r_n
+        ),
     }
     runs["ch30_zeros"] = report("CH n=30, zeros start", traj, eq, bounds)
 

@@ -1,28 +1,26 @@
 """Flow integration to equilibrium and Newton polishing.
 
-The integrator is the classical explicit 4th-order Runge-Kutta method on a
-recording grid of spacing ``FlowSettings.step``. A step spans m grid
-intervals. At m = 1, the shortest step, it is halved whenever the descent
-guard below refuses it, and recovers by doubling; monotone descent is the
-natural cheap error monitor for these flows. Where the flow is smooth, m
-grows to 2, 4, 8, ...: RK4 with the rhs at x_new, which is the next step's
-first stage k1 (first same as last), carries a free embedded
-third-order solution, (1, 2, 2, 0, 1)/6 on (k1, ..., k5), whose distance
-from x_new is (h/6)(k4 - k5) (Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.4). A lengthened step is kept while that estimate is at most
-``_ERR_TOL`` of the step's own increment, and the grid times inside it are
-recorded from the cubic Hermite interpolant of its two ends. The estimate
-is measured against the increment, not against an absolute tolerance: the
-flows decay exponentially and their decay rates are fitted down to the
-rounding floor, and an absolute tolerance lets the step ride the stability
-edge, where the fast modes ring at tolerance level. A flow stalls
-(``StepUnderflow``) when it makes more than ``_TRIALS_PER_INTERVAL`` trials
-per grid interval of t_max at a step below ``_STALL_FRACTION`` of the grid
-interval. Only a stall has such steps for so long: a stiff flow that still
-progresses, such as a Jacobi flow at a large degree, steps near its stability
-edge, which shrinks with n; at step 0.05 and (alpha, beta) = (1/2, 1/2)
-its smallest step is 2^-5 of the interval at n = 40, 2^-7 at n = 60, 2^-9
-at n = 100 and 2^-12 at n = 200.
+The integrator is the classical explicit 4th-order Runge-Kutta method, and
+its trajectory is the grid of spacing ``FlowSettings.step``: only grid times
+are recorded, plus the final state. A step spans m grid intervals. At m = 1
+a step that the descent guard below refuses crosses its interval in
+sub-steps, halved on each refusal and never recorded; the next interval
+starts at the full step again. Where the flow is smooth, m grows to 2, 4,
+8, ...: RK4 with the rhs at x_new, the next step's first stage k1 (first
+same as last), carries a free embedded third-order solution, (1, 2, 2, 0,
+1)/6 on (k1, ..., k5), whose distance from x_new is (h/6)(k4 - k5)
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.4). A lengthened step is
+kept while that estimate is at most ``_ERR_TOL`` of its own increment, not
+of an absolute tolerance: the decay rates are fitted down to the rounding
+floor, and an absolute tolerance lets the step ride the stability edge,
+where the fast modes ring at tolerance level. A flow stalls
+(``StepUnderflow``) after more than ``_TRIALS_PER_INTERVAL`` trials per grid
+interval of t_max at a step below ``_STALL_FRACTION`` of the interval. A
+stiff flow that still progresses steps near its stability edge instead: at
+step 0.05 and (alpha, beta) = (1/2, 1/2) the Jacobi sub-steps reach 2^-5
+of the interval at n = 40, 2^-7 at 60, 2^-9 at 100 and 2^-10 at 200. Such
+a flow is sampled only on the grid, so it needs a finer ``step`` to be
+sampled finely.
 
 Every potential is convex on its (convex) domain, so a step from x to x_new
 cannot raise it when the slope grad V(x_new) . (x_new - x) is not positive
@@ -35,11 +33,9 @@ certificate with the gradient at its trial, which is also the next gradient,
 and falls back to the value test V(x_new) <= V(x) up to ``_DESCENT_SLACK``.
 
 Each ``integrate`` and ``newton_solve`` call builds one evaluator for its
-(kind, n) (see ``potentials``) and keeps it for the run only. At the flows'
-sizes an evaluation costs a few numpy calls on a small table, so the RK4
-stages and the increment are formed in place in one per-run buffer, and
-the stop test calls the array methods directly: max |v| < tol is read off
-v.max() and v.min() (``_below``), with no temporary |v|.
+(kind, n) (see ``potentials``) for the run only. An evaluation costs a few
+numpy calls on a small table, so the RK4 stages and increment are formed in
+one per-run buffer, and the stop test ``_below`` forms no temporary |v|.
 """
 
 from __future__ import annotations
@@ -54,6 +50,8 @@ from .params import Family
 from .potentials import PotentialKind, evaluator, in_domain
 
 _MIN_STEP = 1e-12
+#: Newton iterations before ``newton_solve`` gives up
+_MAX_ITER = 200
 #: descent-check slack for potential differences at the roundoff floor
 _DESCENT_SLACK = 1e-12
 #: a step of several grid intervals is refused when its error estimate
@@ -86,7 +84,9 @@ class FlowSettings:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states of one flow run; times[0] == 0, strictly increasing."""
+    """Recorded states of one flow run; times[0] == 0, strictly increasing.
+    ``integrate`` records grid times and the final state only: at most
+    ceil(t_max / step) / record_every + 2 rows."""
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n)
@@ -146,12 +146,6 @@ def _below(v: np.ndarray, tol: float) -> bool:
     return v.max() < tol and v.min() > -tol
 
 
-def _value_descends(v: float, v_new: float) -> bool:
-    """Newton's fallback descent test: V(x_new) <= V(x) up to the roundoff
-    slack."""
-    return bool(np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)))
-
-
 def _grid(t: float, step: float, t_max: float, m: int) -> list[float]:
     """The next grid times t + step, (t + step) + step, ..., summed one
     interval at a time as the fixed-step loop sums them: at most m, and only
@@ -173,19 +167,22 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     the rhs at x_new, is not positive: V is convex, so then V(x_new) <=
     V(x). In floating point a computed slope <= 0 can hide a true slope of
     about n eps |rhs| |dx|_1 (plus eps |rhs| |x_new|_1 from rounding x + dx).
-    The potential itself is never evaluated. A step of one grid interval
-    whose slope is positive or NaN, or that leaves the domain
-    (``DomainViolation``), is halved.
+    The potential is never evaluated. When a step of one grid interval has
+    a positive or NaN slope, or leaves the domain (``DomainViolation``), the
+    interval is crossed in sub-steps of half its length, halved again on
+    each further refusal: dyadic fractions of it, the last ending on its end.
 
-    A step spans m grid intervals of ``settings.step`` (the shortest step
-    the lengthening chooses). m doubles after an accepted step whose error
-    estimate e = (h/6)(k4 - k5) is below ``_ERR_TOL / 16`` of its increment
-    (max-norms); k5 = rhs(x_new) is the next step's k1. A trial of m > 1 is
-    retried at m // 2 when e exceeds ``_ERR_TOL`` of the increment, when it
-    fails the descent guard or when a stage or a recorded sample leaves the
-    domain; m then stays put for ``_HOLD`` accepted steps. The grid times
-    inside a lengthened step are recorded from the cubic Hermite
-    interpolant of its two ends, and ``record_every`` counts grid intervals.
+    A step spans m grid intervals of ``settings.step``. m doubles after an
+    accepted step whose error estimate e = (h/6)(k4 - k5) is below
+    ``_ERR_TOL / 16`` of its increment (max-norms); k5 = rhs(x_new) is the
+    next step's k1. A trial of m > 1 is retried at m // 2 when e exceeds
+    ``_ERR_TOL`` of the increment, when it fails the descent guard or when a
+    stage or a recorded sample leaves the domain; m then stays put for
+    ``_HOLD`` steps. The grid times inside a lengthened step are recorded
+    from the cubic Hermite interpolant of its two ends. Sub-steps are not
+    recorded and ``record_every`` counts grid intervals, so the trajectory
+    has at most ceil(t_max / step) / record_every + 2 rows, all at grid
+    times but the last of a flow that meets grad_tol inside an interval.
     More than ``_TRIALS_PER_INTERVAL`` trials per grid interval of t_max at
     a step below ``_STALL_FRACTION`` of the grid interval raise
     ``StepUnderflow``.
@@ -200,8 +197,8 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     step, t_max, every = settings.step, settings.t_max, settings.record_every
     domain = in_domain if kind.family is Family.JACOBI else None
     t = 0.0
-    h = step  # the one-interval step, below ``step`` while it recovers
-    m, hold = 1, 0  # grid intervals per step; accepted steps before m may double
+    m, hold = 1, 0  # grid intervals per step; steps before m may double
+    left = 0.0  # the rest of the interval being crossed, in units of h_one
     times = [0.0]
     states = [x]
     k1 = ev.rhs(x)
@@ -214,11 +211,14 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     while t < t_max - 1e-14:
         if _below(k1, settings.grad_tol):
             break
-        ends = _grid(t, step, t_max, m) if m > 1 else []
-        m = max(1, len(ends))
-        h_one = min(h, t_max - t)  # the one-interval trial, halved on refusal
+        if not left:  # t is a grid time
+            ends = _grid(t, step, t_max, m) if m > 1 else []
+            m = max(1, len(ends))
+            h_one = min(step, t_max - t)  # the one-interval step
+            t_end = t + h_one
+            left = frac = 1.0  # frac: the sub-step in units of h_one
         while True:
-            h_try = ends[m - 1] - t if m > 1 else h_one
+            h_try = ends[m - 1] - t if m > 1 else frac * h_one
             if h_try < stall_step:
                 stalled += 1
                 if stalled > budget:
@@ -232,13 +232,11 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
             try:
                 dx, k4 = _rk4_step(ev.rhs, x, h_try, k1, buf)
                 x_new = x + dx
-                # first same as last: the rhs at the accepted x_new is k1 of
-                # the next step
+                # first same as last: the rhs at x_new is the next step's k1
                 k1_new = ev.rhs(x_new)
                 if m > 1 or not hold:
-                    # the order-3 solution with weights (1, 2, 2, 0, 1)/6 on
-                    # (k1, ..., k5) differs from x_new by (h/6)(k4 - k5); it
-                    # judges this step if lengthened, and the next one's length
+                    # the order-3 solution's distance from x_new; it judges
+                    # this step if lengthened, and the next one's length
                     err = h_try / 6.0 * np.abs(k4 - k1_new).max()
                     size = _ERR_TOL * np.abs(dx).max()
                 # a NaN slope refuses the step too
@@ -255,24 +253,26 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
                 m //= 2
                 hold = _HOLD
                 continue
-            h_one *= 0.5
-            h_min = min(h_min, h_one)
-            if h_one < _MIN_STEP:
+            frac *= 0.5
+            h_min = min(h_min, frac * h_one)
+            if h_min < _MIN_STEP:
                 raise StepUnderflow(
                     f"step halving underflowed at t={t:.6g}: no step down to {_MIN_STEP:g} "
                     "certified descent"
                 )
         # x_new is a fresh array that nothing writes to, so it is recorded as is
         x, k1 = x_new, k1_new
-        t = ends[m - 1] if m > 1 else t + h_try
+        left -= frac
+        if left:  # a sub-step inside the interval is not recorded
+            t += h_try
+            continue
+        t = ends[m - 1] if m > 1 else t_end
         intervals += m
         times += inner
         states += list(samples)
         if intervals % every == 0:
             times.append(t)
             states.append(x)
-        # recover towards the requested step after a forced halving
-        h = min(h_try * 2.0, step)
         if hold:
             hold -= 1
         elif h_try >= step and 16.0 * err <= size:
@@ -284,7 +284,7 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     return Trajectory(np.array(times), np.array(states), kind)
 
 
-def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10) -> np.ndarray:
     """Damped Newton descent on the potential down to gradient max-norm tol.
 
     The line search halves the damping until a trial descends: by the
@@ -302,7 +302,7 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
     ev = evaluator(kind, x.size)
     g = ev.gradient(x)
     v = None  # V(x), evaluated only for the fallback test
-    for iteration in range(max_iter):
+    for iteration in range(_MAX_ITER):
         if _below(g, tol):
             return x
         h = ev.hessian(x)
@@ -328,13 +328,13 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10, max_iter: int = 20
                 if v is None:
                     v = ev.value(x)
                 v_new = ev.value(x_try)
-                if _value_descends(v, v_new):
+                if np.isfinite(v_new) and v_new <= v + _DESCENT_SLACK * (1.0 + abs(v)):
                     break
             damping *= 0.5
         else:
             raise SingularHessian("damped Newton step failed to decrease the potential")
         x, v, g = x_try, v_new, g_new
-    raise MaxIterations(f"no convergence to gradient tolerance {tol} in {max_iter} steps")
+    raise MaxIterations(f"no convergence to gradient tolerance {tol} in {_MAX_ITER} steps")
 
 
 def embed(parity: str, y) -> np.ndarray:

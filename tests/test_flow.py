@@ -15,6 +15,7 @@ from orthoflow import (
     potential,
     solve_roots,
 )
+from orthoflow import flow
 
 from conftest import random_ch_params
 
@@ -106,10 +107,11 @@ def test_newton_wilson_n1_matches_bisection():
     assert eq[0] == pytest.approx(wilson_n1_bisection(params), abs=1e-9)
 
 
-def test_newton_max_iterations():
+def test_newton_max_iterations(monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_ITER", 1)
     kind = CH(ContinuousHahnParams(1.0, 1.0))
-    with pytest.raises(MaxIterations):
-        newton_solve(kind, np.array([50.0, 60.0]), tol=1e-13, max_iter=1)
+    with pytest.raises(MaxIterations, match="in 1 steps$"):
+        newton_solve(kind, np.array([50.0, 60.0]), tol=1e-13)
 
 
 def test_embed_even():

@@ -267,12 +267,26 @@ def assert_potential_does_not_rise(kind, states):
     assert np.all(np.diff(v) <= 1e-12 * (1.0 + np.abs(v[:-1])))
 
 
-def assert_halved_like_the_loop(kind, x0, settings, traj: Trajectory, times, states):
-    """A trajectory whose steps are halved against a fixed-step loop's run of
-    the same settings (``times``, ``states``): a step was halved, V does not
-    rise over the samples, and the largest error against Radau is the
-    loop's, up to 1e-12."""
-    assert np.any(np.diff(traj.times)[:-1] < settings.step), "no step was halved"
+def trial_steps(monkeypatch) -> list:
+    """The step h of every integrator trial, kept or refused, in the order
+    tried, recorded from its RK4 kernel."""
+    steps = []
+    rk4_step = flow._rk4_step
+
+    def spy(rhs, x, h, k1, buf):
+        steps.append(h)
+        return rk4_step(rhs, x, h, k1, buf)
+
+    monkeypatch.setattr(flow, "_rk4_step", spy)
+    return steps
+
+
+def assert_halved_like_the_loop(kind, x0, settings, traj: Trajectory, times, states, steps):
+    """A trajectory whose steps are halved (``steps``, from ``trial_steps``)
+    against a fixed-step loop's run of the same settings (``times``,
+    ``states``): a step was halved, V does not rise over the samples, and
+    the largest error against Radau is the loop's, up to 1e-12."""
+    assert min(steps) <= settings.step / 2, "no step was halved"
     assert_potential_does_not_rise(kind, traj.states)
     err = np.max(np.abs(traj.states - radau_states(kind, x0, traj.times)))
     ref_err = np.max(np.abs(states - radau_states(kind, x0, times)))
@@ -343,9 +357,11 @@ def halving_case(family):
 def test_integrate_matches_the_reference_through_step_halving(family, monkeypatch):
     kind, x0, settings = halving_case(family)
     calls = count_potential(monkeypatch)
+    steps = trial_steps(monkeypatch)
     traj = integrate(kind, x0, settings)
     assert calls == []
-    assert_halved_like_the_loop(kind, x0, settings, traj, *ref_integrate(kind, x0, settings))
+    assert_halved_like_the_loop(kind, x0, settings, traj, *ref_integrate(kind, x0, settings),
+                                steps)
 
 
 # -- evaluation count ------------------------------------------------------------
@@ -361,14 +377,7 @@ def test_accepted_step_costs_four_evaluations(family, monkeypatch):
             return _method(self, x)
 
         monkeypatch.setattr(cls, "rhs", counted)
-    trials = []
-    rk4_step = flow._rk4_step
-
-    def counted_trial(*args):
-        trials.append(1)
-        return rk4_step(*args)
-
-    monkeypatch.setattr(flow, "_rk4_step", counted_trial)
+    trials = trial_steps(monkeypatch)
     kind, x0, settings = _trajectory_case(family, 0)
     traj = integrate(kind, x0, settings)
     intervals = traj.times.size - 1

@@ -1,14 +1,24 @@
 """The integrator's lengthened steps: accuracy against an independent
-high-order integrator, the recorded grid, the Jacobi domain, the work saved,
-the trial budget that ends a stalled flow, and the default-step Jacobi
-flows, which converge."""
+high-order integrator, the recorded grid, which is the only record of a flow
+whose steps are halved too, the Jacobi domain, the work saved, the trial
+budget that ends a stalled flow, and the default-step Jacobi flows, which
+converge."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from orthoflow import FlowFamily, FlowSettings, default_start, integrate, newton_solve
-from orthoflow import flow, potentials
+from orthoflow import (
+    FlowFamily,
+    FlowSettings,
+    default_start,
+    equispaced_start,
+    integrate,
+    newton_solve,
+)
+from orthoflow import potentials
 from orthoflow.flow import _TRIALS_PER_INTERVAL
 from orthoflow.cli import EXIT_NUMERICAL, main
 from orthoflow.params import Family, JacobiParams
@@ -19,8 +29,10 @@ from test_flow_kernel import (
     FAMILIES,
     assert_close_to_fixed_step,
     draw_kind,
+    halving_case,
     lengthened_starts,
     radau_states,
+    trial_steps,
 )
 
 DEGREES = [1, 2, 7, 33]
@@ -82,6 +94,41 @@ def test_record_every_counts_grid_intervals(family, every, monkeypatch):
     assert starts, "no step was lengthened"
 
 
+def assert_grid_times(traj, settings):
+    """Every recorded time but the last is the k-th multiple of
+    record_every * step, to 1e-12."""
+    k = np.arange(traj.times.size - 1)
+    assert np.allclose(traj.times[:-1], k * settings.record_every * settings.step,
+                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("every", [2, 3])
+@pytest.mark.parametrize("family", [FlowFamily.CONTINUOUS_HAHN, FlowFamily.JACOBI],
+                         ids=lambda f: f.value)
+def test_record_every_counts_grid_intervals_through_step_halving(family, every, monkeypatch):
+    # the sub-steps that cross a refused interval are not recorded, nor
+    # counted by record_every
+    kind, x0, settings = halving_case(family)
+    settings = FlowSettings(step=settings.step, t_max=settings.t_max, record_every=every)
+    steps = trial_steps(monkeypatch)
+    traj = integrate(kind, x0, settings)
+    assert min(steps) <= settings.step / 2, "no step was halved"
+    assert_grid_times(traj, settings)
+
+
+def test_a_flow_below_its_rounding_floor_records_only_grid_times(monkeypatch):
+    # at n = 200 the rhs rounding floor lies above the library grad_tol, so
+    # the flow runs to t_max at sub-steps of ~2^-10 of the interval; only
+    # the grid is recorded
+    kind = PotentialKind(Family.JACOBI, JacobiParams(0.5, 0.5))
+    settings = FlowSettings(step=0.05, t_max=0.2)
+    steps = trial_steps(monkeypatch)
+    traj = integrate(kind, equispaced_start(200), settings)
+    assert min(steps) <= settings.step / 2, "no step was halved"
+    assert traj.times.size <= math.ceil(settings.t_max / settings.step) + 2
+    assert_grid_times(traj, settings)
+
+
 def _count_rhs(monkeypatch):
     calls = []
     for cls in (potentials._MorseEvaluator, potentials._JacobiEvaluator):
@@ -122,14 +169,7 @@ def test_a_stiff_flow_that_progresses_is_not_a_stall(monkeypatch):
     # the 64 per interval that end a stall, but none below the stall step
     kind = PotentialKind(Family.JACOBI, JacobiParams(0.5, 0.5))
     settings = FlowSettings(step=0.05, t_max=1.0)
-    trials = []
-    rk4_step = flow._rk4_step
-
-    def counted_trial(*args):
-        trials.append(1)
-        return rk4_step(*args)
-
-    monkeypatch.setattr(flow, "_rk4_step", counted_trial)
+    trials = trial_steps(monkeypatch)
     x0 = default_start(kind, 60)
     traj = integrate(kind, x0, settings)
     assert len(trials) > _TRIALS_PER_INTERVAL * traj.times[-1] / settings.step
