@@ -36,9 +36,6 @@ import numpy as np
 from .errors import DegenerateParameters, PrecisionLoss
 from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 
-#: absolute floor below which the series' leading coefficient counts as vanished
-_DEGENERACY_TOL = 1e-12
-
 #: scaled tolerance for discarding imaginary coefficient residue
 _IMAG_RESIDUE_TOL = 1e-9
 
@@ -189,7 +186,7 @@ def _to_real(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _monic(coeffs: np.ndarray, kind: VariableKind) -> MonicPoly:
     lead = coeffs[-1]
-    if abs(lead) < _DEGENERACY_TOL:
+    if lead == 0:
         raise DegenerateParameters("leading coefficient vanishes")
     c = coeffs / lead
     c[-1] = 1.0

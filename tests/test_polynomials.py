@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -107,10 +110,19 @@ def test_jacobi_legendre_recurrence(n):
     assert poly.coeffs == pytest.approx(_monic_legendre(n), abs=1e-13)
 
 
-def test_jacobi_vanishing_leading_coefficient_raises():
-    # alpha + beta + 2 = 2e-13: the series' top coefficient is below the floor
-    with pytest.raises(DegenerateParameters):
-        monic_jacobi(1, JacobiParams(-1 + 1e-13, -1 + 1e-13))
+def test_jacobi_near_the_boundary_matches_exact_arithmetic():
+    # alpha + beta + 2 can be as small as 2e-13 or less: the exact series'
+    # leading coefficient is still positive, and the monic P_1 is
+    # x + (alpha - beta) / (alpha + beta + 2)
+    rng = np.random.default_rng(11)
+    cases = [(-1 + 1e-13, -1 + 1e-13), (-1 + 1e-13, -1 + 3e-13), (-1 + 2e-16, 0.5)]
+    cases += [tuple(-1 + rng.uniform(0, 1e-10, 2)) for _ in range(200)]
+    for alpha, beta in cases:
+        poly = monic_jacobi(1, JacobiParams(alpha, beta))
+        a, b = Fraction(alpha), Fraction(beta)
+        exact = float((a - b) / (a + b + 2))
+        assert poly.coeffs[1] == 1.0
+        assert abs(poly.coeffs[0] - exact) <= 2 * math.ulp(exact)
 
 
 def test_jacobi_legendre_degree_two():

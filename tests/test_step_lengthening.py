@@ -1,8 +1,8 @@
 """The integrator's lengthened steps: accuracy against an independent
 high-order integrator, the recorded grid, which is the only record of a flow
-whose steps are halved too, the Jacobi domain, the work saved, the trial
-budget that ends a stalled flow, and the default-step Jacobi flows, which
-converge."""
+whose steps are halved too, the Jacobi domain, the work saved, the stall
+rule that ends a flow whose sub-steps shrink below 2^-20 of the interval,
+and the default-step Jacobi flows, which converge."""
 
 import math
 
@@ -13,15 +13,15 @@ from scipy.integrate import solve_ivp
 from orthoflow import (
     FlowFamily,
     FlowSettings,
+    StepUnderflow,
     default_start,
     equispaced_start,
     integrate,
     newton_solve,
 )
 from orthoflow import potentials
-from orthoflow.flow import _TRIALS_PER_INTERVAL
 from orthoflow.cli import EXIT_NUMERICAL, main
-from orthoflow.params import Family, JacobiParams
+from orthoflow.params import ContinuousHahnParams, Family, JacobiParams
 from orthoflow.potentials import PotentialKind, evaluator, in_domain
 
 from test_descent_certificate import WORKLOAD_DEGREES, _workload_settings, value_integrate
@@ -143,10 +143,8 @@ def _count_rhs(monkeypatch):
 
 
 def test_a_stalled_flow_ends_in_a_numerical_failure(tmp_path, capsys):
-    # 1/Re a = 1e300 makes the flow so stiff that no step of at least 1e-12
-    # certifies descent: the halving ends it; at 1/Re a = 1e12 the step stays
-    # near 1e-11, where it used to run for ~1e12 steps: the trial count
-    # bounds the run
+    # at 1/Re a = 1e300 and 1e12 the flow is so stiff that no sub-step down
+    # to 2^-20 of its grid interval certifies descent
     def run(a, b):
         argv = ["flow", "--family", "ch", "--n", "3", "--a", a, "--b", b,
                 "--output", str(tmp_path / "f.csv")]
@@ -155,24 +153,38 @@ def test_a_stalled_flow_ends_in_a_numerical_failure(tmp_path, capsys):
         assert out == ""
         return err
 
-    err = run("1e-300+1i", "1e-300-1i")
-    assert err.startswith("numerical failure: StepUnderflow: step halving underflowed at t=")
-    assert err.endswith(": no step down to 1e-12 certified descent\n")
-    err = run("1e-12+1i", "1e-12-1i")
-    assert err.startswith("numerical failure: StepUnderflow: the flow stalled at t=")
-    assert "of t_max=30: 38400 step trials below 4.77e-08, smallest step " in err
+    for re in ["1e-300", "1e-12"]:
+        err = run(f"{re}+1i", f"{re}-1i")
+        assert err == ("numerical failure: StepUnderflow: the flow stalled at t=0.565952 of "
+                       "t_max=30: no sub-step down to 9.54e-07 of the grid interval certified "
+                       "descent\n")
+
+
+@pytest.mark.parametrize("re", ["1e-300", "1e-12", "1e-9"])
+def test_a_stalled_flow_stops_within_a_few_trials(re, monkeypatch):
+    # the halving of one interval stops at 2^-20 of it, after at most 21
+    # refused trials, however stiff the flow
+    kind = PotentialKind(Family.CONTINUOUS_HAHN,
+                         ContinuousHahnParams(complex(float(re), 1.0), complex(float(re), -1.0)))
+    settings = FlowSettings()
+    trials = trial_steps(monkeypatch)
+    with pytest.raises(StepUnderflow):
+        integrate(kind, default_start(kind, 3), settings)
+    assert len(trials) <= 64
+    assert min(trials) >= 2.0**-20 * settings.step
 
 
 def test_a_stiff_flow_that_progresses_is_not_a_stall(monkeypatch):
     # the Jacobi step near its stability edge shrinks like 1/n^2: at n = 60 and
-    # the default step each grid interval takes ~130 halved trials, more than
-    # the 64 per interval that end a stall, but none below the stall step
+    # the default step each grid interval takes ~130 halved trials, but none
+    # below 2^-20 of the interval, so no stall stops the flow
     kind = PotentialKind(Family.JACOBI, JacobiParams(0.5, 0.5))
     settings = FlowSettings(step=0.05, t_max=1.0)
     trials = trial_steps(monkeypatch)
     x0 = default_start(kind, 60)
     traj = integrate(kind, x0, settings)
-    assert len(trials) > _TRIALS_PER_INTERVAL * traj.times[-1] / settings.step
+    assert len(trials) > 64 * traj.times[-1] / settings.step
+    assert min(trials) >= 2.0**-20 * settings.step
     assert np.max(np.abs(traj.states[-1] - newton_solve(kind, x0))) <= 1e-12
 
 
