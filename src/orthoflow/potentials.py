@@ -7,14 +7,15 @@ systems run the Wilson formulas with the registry's extra parameters.
 Flow right-hand sides, gradients, values and Hessians come from one
 evaluator per (kind, n), built by ``evaluator``. It precomputes what does
 not depend on the configuration: the linear term, the parameter checks and
-the two factors whose product is the Morse table (see ``_MorseEvaluator``),
-so that an evaluation fills the table with one matrix product. Each method
-evaluates what it returns and nothing more; the Morse value reuses the table
-and rhs of its own evaluation. Every potential is convex, so the flow's
-descent test reads the slope grad V . dx off the rhs it needs anyway
-(``_Evaluator.slope``) and evaluates the potential only when that slope is
-positive. The public functions build a fresh evaluator per call; the
-integrator and Newton build one per run.
+the two factors whose product is the evaluator's table (see
+``_MorseEvaluator`` and ``_JacobiEvaluator``), so that an evaluation fills
+the table with one matrix product. Each method evaluates what it returns
+and nothing more; the Morse value reuses the table and rhs of its own
+evaluation. Every potential is convex, so the flow's descent test is the
+slope grad V . dx read off the rhs it needs anyway (``_Evaluator.slope``):
+the integrator never evaluates the potential, and Newton's line search does
+so only when that slope is positive. The public functions build a fresh
+evaluator per call; the integrator and Newton build one per run.
 
 Complex parameters enter the gradient and the Hessian through the real
 identity, for a = alpha + i beta with alpha > 0,
@@ -276,29 +277,6 @@ def in_domain(x: np.ndarray) -> bool:
     return x.size == 0 or bool((x[1:] > x[:-1]).all() and x[0] > -1 and x[-1] < 1)
 
 
-def _differences(x: np.ndarray) -> np.ndarray:
-    """Matrix of x_j - x_k with an infinite diagonal, for x in the domain."""
-    if not in_domain(x):
-        raise DomainViolation(
-            "Jacobi configurations must be strictly increasing inside (-1, 1)"
-        )
-    d = x[:, None] - x[None, :]
-    d.reshape(-1)[:: x.size + 1] = np.inf
-    return d
-
-
-def electrostatic_rhs(p: JacobiParams, x) -> np.ndarray:
-    """Right-hand side -B(x_j) - A(x_j) sum_{k != j} 2/(x_j - x_k).
-
-    A(x) = x^2 - 1 and B(x) = (alpha+1)(x+1) + (beta+1)(x-1); equals
-    2 A(x_j) times the electrostatic-potential gradient component.
-    """
-    x = np.asarray(x, dtype=float)
-    a_mob = x * x - 1.0
-    b_drift = (p.alpha + 1) * (x + 1.0) + (p.beta + 1) * (x - 1.0)
-    return -b_drift - a_mob * (2.0 / _differences(x)).sum(axis=1)
-
-
 class _JacobiEvaluator(_Evaluator):
     """The electrostatic potential on the Jacobi domain,
 
@@ -306,46 +284,88 @@ class _JacobiEvaluator(_Evaluator):
                - sum_j [(alpha+1)/2 log(1 - x_j) + (beta+1)/2 log(1 + x_j)],
 
     whose minimum is the Jacobi root configuration. Unlike the other flows
-    this one is not a plain gradient flow: its rhs, ``electrostatic_rhs``,
-    carries the mobility factor 2 A(x) = 2 (x^2 - 1). The domain, strictly
+    this one is not a plain gradient flow: its rhs carries the mobility
+    factor 2 A(x) = 2 (x^2 - 1) (``electrostatic_rhs``). The domain, strictly
     increasing configurations inside (-1, 1), is ``in_domain``, which the
-    command line checks too. Every evaluation checks it; its
+    command line checks too. Every evaluation checks it first; its
     ``DomainViolation`` is what makes the integrator halve a step that leaves
     (-1, 1). V is convex on the domain: -log is convex, and alpha, beta > -1
     make both boundary weights positive.
+
+    As in ``_MorseEvaluator``, every term is a column of one n x (n + 2)
+    table D[j, c] = x_j - y_c over y = (x_1, ..., x_n, 1, -1), the product
+    [x | 1] @ [[1], [-y]] of an n x 2 and a 2 x (n + 2) per-run factor, so
+    each entry is the difference rounded once. With column weights
+    w = (1, ..., 1, (alpha+1)/2, (beta+1)/2),
+
+        -grad V = (1/D) @ w,    H = -(1/D^2)[:, :n] + diag((1/D^2) @ w),
+        V = -sum_c omega_c sum_j log|D[j, c]|,
+
+    where the diagonal of D is +inf in the first two (its reciprocals are 0)
+    and 1 in the value (its logs are 0), and omega = (1/2, ..., 1/2, w_a,
+    w_b) counts each pair from both ends. The mobility x^2 - 1 is
+    D[:, n] D[:, n + 1] = (x - 1)(x + 1), which does not cancel near +-1.
     """
 
     def __init__(self, p: JacobiParams, n: int):
-        self._p = p
-        self._wa = 0.5 * (p.alpha + 1)
-        self._wb = 0.5 * (p.beta + 1)
-        j = np.arange(n)
-        self._upper = np.flatnonzero(j[:, None] < j)  # pairs j < k, row-major
+        wa, wb = 0.5 * (p.alpha + 1), 0.5 * (p.beta + 1)
+        self._lhs = np.ones((n, 2))
+        # the right factor's second row is -y: -x (written per evaluation), -1, +1
+        self._shift = np.ones((2, n + 2))
+        self._shift[1, n:] = (-1.0, 1.0)
+        self._d = np.empty((n, n + 2))
+        # views of the table buffer: its diagonal and the columns x - 1, x + 1
+        self._diagonal = self._d.reshape(-1)[:: n + 3]
+        self._x_minus, self._x_plus = self._d[:, n], self._d[:, n + 1]
+        self._w = np.ones(n + 2)
+        self._w[n:] = (wa, wb)
+        # the rhs's factor -2, folded into its weights: scaling by a power of
+        # 2 is exact, so the rhs is bitwise -2 (x - 1)(x + 1) ((1/D) @ w)
+        self._rhs_w = -2.0 * self._w
+        self._omega = np.full(n + 2, 0.5)
+        self._omega[n:] = (wa, wb)
+
+    def _table(self, x: np.ndarray, diagonal: float) -> np.ndarray:
+        if not in_domain(x):
+            raise DomainViolation(
+                "Jacobi configurations must be strictly increasing inside (-1, 1)"
+            )
+        self._lhs[:, 0] = x
+        np.negative(x, out=self._shift[1, : x.size])
+        np.dot(self._lhs, self._shift, out=self._d)
+        self._diagonal[:] = diagonal
+        return self._d
 
     def rhs(self, x: np.ndarray) -> np.ndarray:
         """dx/dt of the flow, 2 (x^2 - 1) grad V."""
-        return electrostatic_rhs(self._p, x)
+        # the table first: the columns x - 1 and x + 1 are views of it
+        terms = (1.0 / self._table(x, np.inf)).dot(self._rhs_w)
+        return self._x_minus * self._x_plus * terms
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return -(1.0 / _differences(x)).sum(axis=1) - (self._wa / (x - 1.0) + self._wb / (x + 1.0))
+        return -(1.0 / self._table(x, np.inf)).dot(self._w)
 
     def value(self, x: np.ndarray) -> float:
-        # x increasing: x_j - x_k < 0 for j < k
-        v = -np.log(-_differences(x).take(self._upper)).sum()
-        v -= (self._wa * np.log(1.0 - x) + self._wb * np.log(1.0 + x)).sum()
-        return float(v)
+        logs = np.log(np.abs(self._table(x, 1.0)))
+        return float(-logs.sum(axis=0).dot(self._omega))
 
     def slope(self, x: np.ndarray, rhs: np.ndarray, dx: np.ndarray) -> float:
         """grad V(x) . dx, from rhs = 2 (x^2 - 1) grad V."""
-        return 0.5 * (rhs / (x * x - 1.0)).dot(dx)
+        return 0.5 * (rhs / ((x - 1.0) * (x + 1.0))).dot(dx)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        cd = 1.0 / _differences(x) ** 2
-        h = -cd
-        h[np.diag_indices(x.size)] = cd.sum(axis=1) + (
-            self._wa / (x - 1.0) ** 2 + self._wb / (x + 1.0) ** 2
-        )
+        c = 1.0 / np.square(self._table(x, np.inf))
+        n = x.size
+        h = -c[:, :n]
+        h.flat[:: n + 1] += c.dot(self._w)
         return h
+
+
+def electrostatic_rhs(p: JacobiParams, x) -> np.ndarray:
+    """Right-hand side -B(x_j) - A(x_j) sum_{k != j} 2/(x_j - x_k), with
+    A(x) = x^2 - 1 and B(x) = (alpha+1)(x+1) + (beta+1)(x-1): 2 A(x_j) times
+    the electrostatic-potential gradient component (``_JacobiEvaluator.rhs``)."""
+    return _JacobiEvaluator(p, np.size(x)).rhs(np.asarray(x, dtype=float))
 
 
 def evaluator(kind: PotentialKind, n: int) -> _Evaluator:

@@ -104,17 +104,23 @@ def measure_decay(
     if not (t[0] <= w0 < w1 <= t[-1]):
         raise ValueError(f"window {window} outside trajectory time range")
 
-    in_window = (t >= w0) & (t <= w1)
-    err = np.abs(traj.states - eq[None, :])
-    slopes = np.empty(eq.size)
-    for jdx in range(eq.size):
-        usable = in_window & (err[:, jdx] > _ERROR_FLOOR)
-        if np.count_nonzero(usable) < 5:
-            raise InsufficientSamples(
-                f"coordinate {jdx + 1} has fewer than 5 samples above the noise floor"
-            )
-        slope, _ = np.polyfit(t[usable], np.log(err[usable, jdx]), 1)
-        slopes[jdx] = -slope
+    # one least-squares line per column of the window's log errors, each
+    # over its usable samples only: centred on their means, the slope is
+    # sum tc (L - mean L) / sum tc^2 with tc = t - mean t there, 0 elsewhere
+    rows = (t >= w0) & (t <= w1)
+    err = np.abs(traj.states[rows] - eq)
+    usable = err > _ERROR_FLOOR
+    count = np.count_nonzero(usable, axis=0)
+    short = np.flatnonzero(count < 5)
+    if short.size:
+        raise InsufficientSamples(
+            f"coordinate {short[0] + 1} has fewer than 5 samples above the noise floor"
+        )
+    logs = np.log(err, out=np.zeros_like(err), where=usable)
+    tc = np.where(usable, t[rows, None], 0.0)
+    tc -= usable * (tc.sum(axis=0) / count)
+    lc = logs - usable * (logs.sum(axis=0) / count)
+    slopes = -(tc * lc).sum(axis=0) / (tc * tc).sum(axis=0)
 
     r_n = float(np.max(np.abs(eq)))
     kappa = kappa_bound(traj.kind, eq.size, r_n)

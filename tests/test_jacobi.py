@@ -96,7 +96,8 @@ def test_flow_converges_to_jacobi_roots():
 
 
 # -- the Jacobi flow in the homes of the other families ---------------------------
-# references: verbatim copies of the module that kept the Jacobi flow apart
+# references: verbatim copies of the module that kept the Jacobi flow apart, and
+# of its difference-matrix gradient and Hessian
 
 def ref_in_domain(x: np.ndarray) -> bool:
     """Whether x is strictly increasing inside (-1, 1); NaN never is."""
@@ -126,17 +127,93 @@ def ref_electrostatic_rhs(p: JacobiParams, x) -> np.ndarray:
     return ref_electrostatic_drift(p, x, ref_differences(x))
 
 
+def ref_gradient(p: JacobiParams, x: np.ndarray) -> np.ndarray:
+    wa, wb = 0.5 * (p.alpha + 1), 0.5 * (p.beta + 1)
+    return -(1.0 / ref_differences(x)).sum(axis=1) - (wa / (x - 1.0) + wb / (x + 1.0))
+
+
+def ref_hessian(p: JacobiParams, x: np.ndarray) -> np.ndarray:
+    wa, wb = 0.5 * (p.alpha + 1), 0.5 * (p.beta + 1)
+    cd = 1.0 / ref_differences(x) ** 2
+    h = -cd
+    h[np.diag_indices(x.size)] = cd.sum(axis=1) + (
+        wa / (x - 1.0) ** 2 + wb / (x + 1.0) ** 2
+    )
+    return h
+
+
+def ref_table_rhs(p: JacobiParams, x) -> np.ndarray:
+    """The table formula of ``_JacobiEvaluator.rhs``: D = [x | 1] @ [[1], [-y]]
+    over y = (x, 1, -1) with an infinite diagonal, and
+    rhs = -2 (x - 1)(x + 1) ((1/D) @ w)."""
+    x = np.asarray(x, dtype=float)
+    if not ref_in_domain(x):
+        raise DomainViolation(
+            "Jacobi configurations must be strictly increasing inside (-1, 1)"
+        )
+    n = x.size
+    lhs = np.ones((n, 2))
+    lhs[:, 0] = x
+    shift = np.ones((2, n + 2))
+    shift[1, :n] = -x
+    shift[1, n:] = (-1.0, 1.0)
+    d = np.dot(lhs, shift)
+    d.reshape(-1)[:: n + 3] = np.inf
+    w = np.ones(n + 2)
+    w[n:] = (0.5 * (p.alpha + 1), 0.5 * (p.beta + 1))
+    return -2.0 * d[:, n] * d[:, n + 1] * (1.0 / d).dot(w)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
 def test_rhs_is_bitwise_the_reference(n):
     rng = np.random.default_rng([n, 9])
     for _ in range(4):
         kind = draw_kind(FlowFamily.JACOBI, rng)
         x = draw_config(kind, n, rng)
-        ref = ref_electrostatic_rhs(kind.params, x)
+        ref = ref_table_rhs(kind.params, x)
         ev = potentials.evaluator(kind, n)
         for got in (electrostatic_rhs(kind.params, x), electrostatic_rhs(kind.params, list(x)),
                     ev.rhs(x)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _near_the_boundary(kind, n, rng):
+    """A conftest start, then the same start with its last root, and with its
+    first root, moved to within 1e-9 of +1 and of -1."""
+    x = draw_config(kind, n, rng)
+    yield x
+    for end, sign in ((-1, 1.0), (0, -1.0)):
+        y = x.copy()
+        y[end] = sign * (1.0 - 1e-9 * rng.uniform(0.01, 1.0))
+        yield y
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 60])
+def test_the_table_agrees_with_the_difference_matrix(n):
+    # each entry within 2 (n + 4) eps of the sum of the magnitudes of the
+    # terms it adds up; the rhs's terms are those of the expanded product
+    # (x^2 - 1) 2/(x_j - x_k), so the cancelling x * x - 1 of the old
+    # formula near +-1 stays inside the bound
+    tol = 2 * (n + 4) * np.finfo(float).eps
+    rng = np.random.default_rng([n, 26])
+    for _ in range(4):
+        kind = draw_kind(FlowFamily.JACOBI, rng)
+        p = kind.params
+        wa, wb = 0.5 * (p.alpha + 1), 0.5 * (p.beta + 1)
+        ev = potentials.evaluator(kind, n)
+        for x in _near_the_boundary(kind, n, rng):
+            inv = np.abs(1.0 / ref_differences(x))
+            pairs = inv.sum(axis=1)
+            rhs_terms = (abs(p.alpha + 1) + abs(p.beta + 1)) * (np.abs(x) + 1.0) \
+                + 2.0 * (x * x + 1.0) * pairs
+            grad_terms = pairs + wa / np.abs(x - 1.0) + wb / np.abs(x + 1.0)
+            hess_terms = inv**2
+            hess_terms[np.diag_indices(n)] = (inv**2).sum(axis=1) + (
+                wa / (x - 1.0) ** 2 + wb / (x + 1.0) ** 2
+            )
+            assert np.all(np.abs(ev.rhs(x) - ref_electrostatic_rhs(p, x)) <= tol * rhs_terms)
+            assert np.all(np.abs(ev.gradient(x) - ref_gradient(p, x)) <= tol * grad_terms)
+            assert np.all(np.abs(ev.hessian(x) - ref_hessian(p, x)) <= tol * hess_terms)
 
 
 @pytest.mark.parametrize("x", [

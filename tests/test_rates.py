@@ -13,6 +13,7 @@ from orthoflow import (
     default_start,
     gradient,
     hessian,
+    integrate,
     kappa_bound,
     kappa_continuous_hahn,
     kappa_continuous_hahn_symmetric,
@@ -20,9 +21,9 @@ from orthoflow import (
     newton_solve,
 )
 
-from orthoflow.rates import _param_term
+from orthoflow.rates import _ERROR_FLOOR, RateReport, _param_term
 from conftest import random_ch_params
-from test_flow_kernel import FAMILIES, draw_kind
+from test_flow_kernel import FAMILIES, _trajectory_case, draw_kind
 
 _KIND = PotentialKind(FlowFamily.CONTINUOUS_HAHN, ContinuousHahnParams(1.0, 1.0))
 
@@ -136,6 +137,89 @@ def test_measure_decay_insufficient_samples_at_equilibrium():
         measure_decay(traj, eq)
 
 
+def ref_measure_decay(
+    traj: Trajectory, equilibrium, window: tuple[float, float] | None = None
+) -> RateReport:
+    """Verbatim copy of the per-coordinate ``np.polyfit`` loop that
+    ``measure_decay`` replaced by one least-squares pass."""
+    eq = np.asarray(equilibrium, dtype=float)
+    t = traj.times
+    if eq.size != traj.states.shape[1]:
+        raise ValueError("equilibrium length does not match trajectory states")
+    if eq.size == 0:
+        raise ValueError("no coordinates to fit: n must be at least 1")
+    if t.size == 1:
+        raise InsufficientSamples(
+            "the flow recorded no step (its start already meets grad_tol): no decay to fit"
+        )
+    if window is None:
+        window = (float(t[-1]) / 6.0, 5.0 * float(t[-1]) / 6.0)
+    w0, w1 = window
+    if not (t[0] <= w0 < w1 <= t[-1]):
+        raise ValueError(f"window {window} outside trajectory time range")
+
+    in_window = (t >= w0) & (t <= w1)
+    err = np.abs(traj.states - eq[None, :])
+    slopes = np.empty(eq.size)
+    for jdx in range(eq.size):
+        usable = in_window & (err[:, jdx] > _ERROR_FLOOR)
+        if np.count_nonzero(usable) < 5:
+            raise InsufficientSamples(
+                f"coordinate {jdx + 1} has fewer than 5 samples above the noise floor"
+            )
+        slope, _ = np.polyfit(t[usable], np.log(err[usable, jdx]), 1)
+        slopes[jdx] = -slope
+
+    r_n = float(np.max(np.abs(eq)))
+    kappa = kappa_bound(traj.kind, eq.size, r_n)
+    return RateReport(kappa, slopes, (float(w0), float(w1)), r_n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_measure_decay_is_the_per_coordinate_fit(family, seed):
+    kind, x0, settings = _trajectory_case(family, seed)
+    traj = integrate(kind, x0, settings)
+    eq = newton_solve(kind, traj.states[-1])
+    for window in (None, (0.1 * traj.times[-1], 0.9 * traj.times[-1])):
+        got, ref = measure_decay(traj, eq, window), ref_measure_decay(traj, eq, window)
+        assert np.all(np.abs(got.measured_slopes - ref.measured_slopes)
+                      <= 1e-12 * np.abs(ref.measured_slopes))
+        assert (got.kappa_bound, got.fit_window, got.R_n) == (
+            ref.kappa_bound, ref.fit_window, ref.R_n)
+
+
+def _failing_fits():
+    """(trajectory, equilibrium, window) of each way a fit is refused."""
+    eq = np.array([0.3, -0.2, 1.7, 0.5])
+    amp = np.array([1.0, -2.0, 0.5, 1.5])
+    traj = _synthetic_trajectory(0.9, eq, amp)
+    yield Trajectory(np.zeros(1), eq[None, :], _KIND), eq, None  # one sample
+    yield traj, eq, (5.0, 50.0)  # a window past the last time
+    yield traj, eq, (-1.0, 5.0)  # a window before the first time
+    yield traj, eq[:3], None  # a length mismatch
+    yield traj, eq, (2.0, 2.3)  # too few samples in the window
+    # coordinates 2 and 4 sit at their equilibrium after 3 and 1 window samples
+    states = traj.states.copy()
+    states[20:, 1] = eq[1]
+    states[18:, 3] = eq[3]
+    yield Trajectory(traj.times, states, _KIND), eq, None
+    # coordinate 3 errs by less than the noise floor from t = 1.5 on
+    states = traj.states.copy()
+    states[15:, 2] = eq[2] + 0.5 * _ERROR_FLOOR
+    yield Trajectory(traj.times, states, _KIND), eq, None
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_measure_decay_refuses_as_the_per_coordinate_fit(case):
+    traj, eq, window = list(_failing_fits())[case]
+    with pytest.raises((InsufficientSamples, ValueError)) as ref:
+        ref_measure_decay(traj, eq, window)
+    with pytest.raises(ref.type) as got:
+        measure_decay(traj, eq, window)
+    assert got.type is ref.type and str(got.value) == str(ref.value)
+
+
 def _exact_param_term(a: complex, r: float) -> float:
     alpha, s = Fraction(a.real), Fraction(r) + Fraction(abs(a.imag))
     return float(alpha / (alpha**2 + s**2))
@@ -185,3 +269,17 @@ def test_jacobi_kappa_is_the_slowest_linear_rate(n):
         lam = np.linalg.eigvalsh(root_m[:, None] * hessian(kind, eq) * root_m[None, :])[0]
         kappa = kappa_bound(kind, n, float(np.max(np.abs(eq))))
         assert abs(lam - kappa) <= 1e-12 * kappa
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+def test_jacobi_linear_rates_are_the_whole_spectrum(n):
+    # M^{1/2} H M^{1/2} at the Jacobi roots has the eigenvalues
+    # k (2n + alpha + beta + 1 - k), k = 1, ..., n, the rates of the
+    # linearised flow's modes; the smallest, k = 1, is kappa
+    k = np.arange(1, n + 1)
+    for kind, eq in _equilibria(FlowFamily.JACOBI, n):
+        p = kind.params
+        root_m = np.sqrt(2.0 * (1.0 - eq * eq))
+        lam = np.linalg.eigvalsh(root_m[:, None] * hessian(kind, eq) * root_m[None, :])
+        expect = k * (2 * n + p.alpha + p.beta + 1 - k)
+        assert np.all(np.abs(lam - expect) <= 1e-9 * expect)
