@@ -35,8 +35,8 @@ and falls back to the value test V(x_new) <= V(x) up to ``_DESCENT_SLACK``.
 
 Each ``integrate`` and ``newton_solve`` call builds one evaluator for its
 (kind, n) (see ``potentials``) for the run only. An evaluation costs a few
-numpy calls on a small table, so the RK4 stages and increment are formed in
-one per-run buffer, and the stop test ``_below`` forms no temporary |v|.
+numpy calls on a small table, so the stop test ``_below`` forms no temporary
+|v|.
 """
 
 from __future__ import annotations
@@ -111,19 +111,13 @@ def _start(x0) -> np.ndarray:
     return x
 
 
-def _rk4_step(rhs, x, h, k1, buf):
-    """The RK4 increment (h/6)(k1 + 2 k2 + 2 k3 + k4), formed in ``buf``,
-    and k4; the stages x + c h k are formed in ``buf`` too, so it is
-    overwritten."""
-    k2 = rhs(np.add(np.multiply(k1, 0.5 * h, out=buf), x, out=buf))
-    k3 = rhs(np.add(np.multiply(k2, 0.5 * h, out=buf), x, out=buf))
-    k4 = rhs(np.add(np.multiply(k3, h, out=buf), x, out=buf))
-    np.add(k2, k3, out=buf)
-    buf *= 2.0
-    buf += k1
-    buf += k4
-    buf *= h / 6.0
-    return buf, k4
+def _rk4_step(rhs, x, h, k1):
+    """The RK4 increment (h/6)(k1 + 2 k2 + 2 k3 + k4) and k4, each a fresh
+    array."""
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    return (2.0 * (k2 + k3) + k1 + k4) * (h / 6.0), k4
 
 
 def _hermite(x, f, x_new, f_new, h, fractions):
@@ -200,17 +194,14 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
     times = [0.0]
     states = [x]
     k1 = ev.rhs(x)
-    buf = np.empty(n)
     intervals = 0
 
-    while t < t_max - 1e-14:
-        if _below(k1, settings.grad_tol):
-            break
+    while t < t_max - 1e-14 and not _below(k1, settings.grad_tol):
         if not left:  # t is a grid time
-            ends = _grid(t, step, t_max, m) if m > 1 else []
-            m = max(1, len(ends))
             h_one = min(step, t_max - t)  # the one-interval step
-            t_end = t + h_one
+            # the step's grid ends; t + h_one where no full interval fits
+            ends = _grid(t, step, t_max, m) or [t + h_one]
+            m = len(ends)
             left = frac = 1.0  # frac: the sub-step in units of h_one
         while True:
             h_try = ends[m - 1] - t if m > 1 else frac * h_one
@@ -218,15 +209,14 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
             inner = [u for i, u in enumerate(ends[: m - 1], intervals + 1) if i % every == 0]
             samples = ()
             try:
-                dx, k4 = _rk4_step(ev.rhs, x, h_try, k1, buf)
+                dx, k4 = _rk4_step(ev.rhs, x, h_try, k1)
                 x_new = x + dx
                 # first same as last: the rhs at x_new is the next step's k1
                 k1_new = ev.rhs(x_new)
-                if m > 1 or not hold:
-                    # the order-3 solution's distance from x_new; it judges
-                    # this step if lengthened, and the next one's length
-                    err = h_try / 6.0 * np.abs(k4 - k1_new).max()
-                    size = _ERR_TOL * np.abs(dx).max()
+                # the order-3 solution's distance from x_new; it judges this
+                # step if lengthened, and the next one's length
+                err = h_try / 6.0 * np.abs(k4 - k1_new).max()
+                size = _ERR_TOL * np.abs(dx).max()
                 # a NaN slope refuses the step too
                 ok = (m == 1 or err <= size) and ev.slope(x_new, k1_new, dx) <= 0.0
                 if ok and inner:
@@ -253,7 +243,7 @@ def integrate(kind: PotentialKind, x0, settings: FlowSettings | None = None) -> 
         if left:  # a sub-step inside the interval is not recorded
             t += h_try
             continue
-        t = ends[m - 1] if m > 1 else t_end
+        t = ends[m - 1]
         intervals += m
         times += inner
         states += list(samples)
@@ -365,7 +355,4 @@ def solve_roots(
     if x0 is None:
         x0 = default_start(kind, n)
     traj = integrate(kind, x0, settings)
-    eq = traj.states[-1]
-    if n > 0:
-        eq = newton_solve(kind, eq, tol=newton_tol)
-    return traj, eq
+    return traj, newton_solve(kind, traj.states[-1], tol=newton_tol)

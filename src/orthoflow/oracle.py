@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComplexRoots, PrecisionLoss, SingularFactor
-from .flow import PotentialKind, default_start, newton_solve
+from .flow import default_start, newton_solve
 from .params import ContinuousHahnParams, Family, WilsonParams
 from .polynomials import (
     MonicPoly,
@@ -35,7 +35,7 @@ from .polynomials import (
     monic_continuous_hahn,
     monic_wilson,
 )
-from .potentials import hessian
+from .potentials import PotentialKind, hessian
 
 _IMAG_ROOT_TOL = 1e-6
 _NEWTON_MAX_STEPS = 50

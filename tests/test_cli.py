@@ -78,6 +78,14 @@ def test_flow_csv_round_trip(tmp_path):
     assert np.all(final < -6)
 
 
+def test_flow_of_the_empty_configuration(tmp_path):
+    path = tmp_path / "z.csv"
+    code = main(["flow", "--family", "ch", "--n", "0", "--a", "1", "--b", "1",
+                 "--output", str(path)])
+    assert code == EXIT_OK
+    assert path.read_text() == "t\n0\n"
+
+
 def test_flow_requires_output(capsys):
     code = main(["flow", "--family", "ch", "--n", "2", "--a", "1", "--b", "1"])
     assert code == EXIT_VALIDATION

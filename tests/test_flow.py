@@ -18,6 +18,7 @@ from orthoflow import (
 from orthoflow import flow
 
 from conftest import random_ch_params
+from test_flow_kernel import FAMILIES, draw_kind
 
 CH = lambda p: PotentialKind(FlowFamily.CONTINUOUS_HAHN, p)
 
@@ -51,6 +52,15 @@ def test_degenerate_empty_system():
     traj = integrate(CH(ContinuousHahnParams(1, 1)), [])
     assert traj.states.shape == (1, 0)
     assert newton_solve(CH(ContinuousHahnParams(1, 1)), []).size == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_solve_roots_of_the_empty_configuration(family):
+    kind = draw_kind(family, np.random.default_rng(0))
+    traj, eq = solve_roots(kind, 0)
+    assert traj.times.tolist() == [0.0]
+    assert traj.states.shape == (1, 0)
+    assert eq.shape == (0,)
 
 
 def test_equilibrium_is_stationary():

@@ -273,9 +273,9 @@ def trial_steps(monkeypatch) -> list:
     steps = []
     rk4_step = flow._rk4_step
 
-    def spy(rhs, x, h, k1, buf):
+    def spy(rhs, x, h, k1):
         steps.append(h)
-        return rk4_step(rhs, x, h, k1, buf)
+        return rk4_step(rhs, x, h, k1)
 
     monkeypatch.setattr(flow, "_rk4_step", spy)
     return steps
@@ -362,6 +362,52 @@ def test_integrate_matches_the_reference_through_step_halving(family, monkeypatc
     assert calls == []
     assert_halved_like_the_loop(kind, x0, settings, traj, *ref_integrate(kind, x0, settings),
                                 steps)
+
+
+# -- the RK4 kernel against the buffered one it replaced ----------------------------
+
+def ref_buffered_rk4_step(rhs, x, h, k1, buf):
+    """The RK4 increment (h/6)(k1 + 2 k2 + 2 k3 + k4), formed in ``buf``,
+    and k4; the stages x + c h k are formed in ``buf`` too, so it is
+    overwritten."""
+    k2 = rhs(np.add(np.multiply(k1, 0.5 * h, out=buf), x, out=buf))
+    k3 = rhs(np.add(np.multiply(k2, 0.5 * h, out=buf), x, out=buf))
+    k4 = rhs(np.add(np.multiply(k3, h, out=buf), x, out=buf))
+    np.add(k2, k3, out=buf)
+    buf *= 2.0
+    buf += k1
+    buf += k4
+    buf *= h / 6.0
+    return buf, k4
+
+
+def _kernel_bytes(kernel, *args):
+    """The increment and k4 as bytes, or the domain refusal of a stage."""
+    try:
+        dx, k4 = kernel(*args)
+    except DomainViolation:
+        return "DomainViolation"
+    return dx.tobytes(), k4.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_rk4_step_is_the_buffered_kernel_bit_for_bit(family, n):
+    # the same IEEE operations in the same order: every flow is unchanged.
+    # Jacobi steps scale as the trajectory workload's, 1 / (2 n^2 + 10)
+    rng = np.random.default_rng([n, 11, FAMILIES.index(family)])
+    step = 0.05 if family is not FlowFamily.JACOBI else min(0.05, 1.0 / (2 * n * n + 10))
+    computed = 0
+    for _ in range(4):  # conftest draws: real and conjugate-pair parameters
+        kind = draw_kind(family, rng)
+        ev = evaluator(kind, n)
+        x = draw_config(kind, n, rng)
+        k1 = ev.rhs(x)
+        for h in (step, step / 2, step * 2.0**-10, 4 * step):
+            got = _kernel_bytes(flow._rk4_step, ev.rhs, x, h, k1)
+            assert got == _kernel_bytes(ref_buffered_rk4_step, ev.rhs, x, h, k1, np.empty(n))
+            computed += got != "DomainViolation"
+    assert computed >= 12
 
 
 # -- evaluation count ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The integrator's lengthened steps: accuracy against an independent
 high-order integrator, the recorded grid, which is the only record of a flow
-whose steps are halved too, the Jacobi domain, the work saved, the stall
-rule that ends a flow whose sub-steps shrink below 2^-20 of the interval,
-and the default-step Jacobi flows, which converge."""
+whose steps are halved too, and its last interval, which ends on t_max, the
+Jacobi domain, the work saved, the stall rule that ends a flow whose
+sub-steps shrink below 2^-20 of the interval, and the default-step Jacobi
+flows, which converge."""
 
 import math
 
@@ -19,7 +20,7 @@ from orthoflow import (
     integrate,
     newton_solve,
 )
-from orthoflow import potentials
+from orthoflow import flow, potentials
 from orthoflow.cli import EXIT_NUMERICAL, main
 from orthoflow.params import ContinuousHahnParams, Family, JacobiParams
 from orthoflow.potentials import PotentialKind, evaluator, in_domain
@@ -127,6 +128,29 @@ def test_a_flow_below_its_rounding_floor_records_only_grid_times(monkeypatch):
     assert min(steps) <= settings.step / 2, "no step was halved"
     assert traj.times.size <= math.ceil(settings.t_max / settings.step) + 2
     assert_grid_times(traj, settings)
+
+
+@pytest.mark.parametrize("t_max, step, m_last", [(1.03, 0.05, 1), (1.03, 0.3, 1), (15.03, 0.05, 2)])
+def test_the_last_interval_ends_on_t_max(t_max, step, m_last, monkeypatch):
+    # t_max is no grid time: where no full interval fits, the last step is
+    # the partial interval t_max - t. At t_max = 15.03 it cuts short a trial
+    # of m_last = 2 intervals
+    kind = PotentialKind(Family.CH, ContinuousHahnParams(1.0, 1.0))
+    calls = []  # (m, ends) of every grid helper call
+    grid = flow._grid
+
+    def spy(*args):
+        calls.append((args[3], grid(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(flow, "_grid", spy)
+    traj = integrate(kind, np.zeros(5), FlowSettings(step=step, t_max=t_max))
+    sums = [0.0]
+    while len(sums) < traj.times.size - 1:
+        sums.append(sums[-1] + step)
+    assert traj.times[:-1].tolist() == sums
+    assert abs(traj.times[-1] - t_max) <= 1e-12
+    assert calls[-1] == (m_last, [])
 
 
 def _count_rhs(monkeypatch):
