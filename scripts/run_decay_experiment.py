@@ -1,16 +1,21 @@
 """Compare measured decay rates against the theoretical bounds.
 
-Four experiments, three of them on the degree-30 continuous Hahn configuration:
+Five experiments, four of them on the continuous Hahn parameters (10, 3/10):
 
-1. all-zeros (parity-symmetric) start: every fitted slope should clear
-   both the plain bound and the improved parity-symmetric bound;
+1. all-zeros (parity-symmetric) start of the degree-30 configuration:
+   every fitted slope should clear both the plain bound and the improved
+   parity-symmetric bound;
 2. broken-symmetry start (all coordinates at 3): some coordinates
    overshoot their limits and decay slower than the improved bound;
 3. the degree-15 Wilson configuration from zeros;
 4. the odd parity-reduced system of the degree-29 configuration (m = 14)
-   beside the Wilson flow with (a, b, 1/2, 1), which it is: the two kappa
-   bounds are equal, as the paper's comparison of the reduced flows with
-   the Wilson flows says.
+   beside the Wilson flow with (a, b, 1/2, 1), which it is;
+5. the even parity-reduced system of the degree-30 configuration (m = 15)
+   beside the Wilson flow with (a, b, 1/2, 0), which it is.
+
+In 4 and 5 the two kappa bounds are equal, as the paper's comparison of the
+reduced flows with the Wilson flows says; the script exits with an error
+if they differ.
 
 Writes log10-error trajectories as CSV next to this script when --outdir
 is given.
@@ -56,6 +61,33 @@ def report(label, traj, eq, bounds):
     return traj, eq
 
 
+def beside_wilson(family, params, m, label):
+    """The reduced system of m roots beside the Wilson flow it is, at
+    ``family.wilson_params(params)``; exits if the two kappa bounds differ."""
+    kind = PotentialKind(family, params)
+    wilson_params = family.wilson_params(params)
+    wilson = PotentialKind(Family.WILSON, wilson_params)
+    traj, eq = solve_roots(kind, m, settings=SETTINGS, newton_tol=1e-12)
+    w_traj, w_eq = solve_roots(wilson, m, settings=SETTINGS, newton_tol=1e-12)
+    cd = f"1/2, {wilson_params.d.real:g}"
+    kappas = {
+        f"kappa ({family.value})": kappa_bound(kind, m, float(np.max(np.abs(eq)))),
+        f"kappa (Wilson a, b, {cd})": kappa_bound(wilson, m, float(np.max(np.abs(w_eq)))),
+    }
+    parity = family.value[3:]
+    report(f"{label}, {parity} parity-reduced system (m={m})", traj, eq, kappas)
+    report(f"Wilson ({params.a.real:g}, {params.b.real:g}, {cd}) m={m}, zeros start",
+           w_traj, w_eq, kappas)
+    k_reduced, k_wilson = kappas.values()
+    print(f"  max |{family.value} - Wilson equilibrium| = {np.max(np.abs(eq - w_eq)):.1e}")
+    print()
+    if not np.isclose(k_reduced, k_wilson, rtol=1e-12, atol=0.0):
+        raise SystemExit(
+            f"the {family.value} and Wilson kappa bounds differ: {k_reduced} != {k_wilson}"
+        )
+    return traj, eq
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", help="directory for log-error CSV files")
@@ -89,21 +121,8 @@ def main():
         {"kappa": kappa_bound(w_kind, 15, r_n)},
     )
 
-    odd_kind = PotentialKind(Family.REDUCED_ODD, ch_params)
-    half_kind = PotentialKind(Family.WILSON, WilsonParams(10.0, 0.3, 0.5, 1.0))
-    traj, eq = solve_roots(odd_kind, 14, settings=SETTINGS, newton_tol=1e-12)
-    w_traj, w_eq = solve_roots(half_kind, 14, settings=SETTINGS, newton_tol=1e-12)
-    kappas = {
-        "kappa (ch-odd)": kappa_bound(odd_kind, 14, float(np.max(np.abs(eq)))),
-        "kappa (Wilson a, b, 1/2, 1)": kappa_bound(half_kind, 14, float(np.max(np.abs(w_eq)))),
-    }
-    runs["ch29_odd"] = report("CH n=29, odd parity-reduced system (m=14)", traj, eq, kappas)
-    report("Wilson (10, 0.3, 1/2, 1) m=14, zeros start", w_traj, w_eq, kappas)
-    k_odd, k_wilson = kappas.values()
-    print(f"  max |ch-odd - Wilson equilibrium| = {np.max(np.abs(eq - w_eq)):.1e}")
-    print()
-    if not np.isclose(k_odd, k_wilson, rtol=1e-12, atol=0.0):
-        raise SystemExit(f"the ch-odd and Wilson kappa bounds differ: {k_odd} != {k_wilson}")
+    runs["ch29_odd"] = beside_wilson(Family.REDUCED_ODD, ch_params, 14, "CH n=29")
+    runs["ch30_even"] = beside_wilson(Family.REDUCED_EVEN, ch_params, 15, "CH n=30")
 
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)

@@ -2,7 +2,6 @@
 exponentially stable gradient flows, with independent verification."""
 
 from .errors import (
-    BranchCrossing,
     ComplexRoots,
     DegenerateParameters,
     DomainViolation,

@@ -21,10 +21,6 @@ class DomainViolation(OrthoflowError):
     """A configuration left the domain of definition of a potential."""
 
 
-class BranchCrossing(OrthoflowError):
-    """A parameter with Re a = 0 sits on the branch cut of arctan(x / a)."""
-
-
 class StepUnderflow(OrthoflowError):
     """Step halving in the integrator dropped below the minimum step."""
 

@@ -267,9 +267,9 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10) -> np.ndarray:
     The line search halves the damping until a trial descends: by the
     convexity certificate grad V(x_try) . (x_try - x) <= 0, whose gradient
     is the next iteration's, as in ``integrate``, and otherwise by the value
-    test, with V(x) evaluated once per iterate. A Hessian that is singular
-    to working precision raises ``SingularHessian``, naming the iteration
-    and |x|_inf.
+    test, with V(x) evaluated once per iterate. A Hessian singular to
+    working precision or a failed line search raises ``SingularHessian``,
+    naming the iteration and |x|_inf.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
@@ -309,7 +309,8 @@ def newton_solve(kind: PotentialKind, x0, tol: float = 1e-10) -> np.ndarray:
                     break
             damping *= 0.5
         else:
-            raise SingularHessian("damped Newton step failed to decrease the potential")
+            raise SingularHessian("damped Newton step failed to decrease the potential at Newton "
+                                  f"iteration {iteration} (|x|_inf = {np.abs(x).max():.3g})")
         x, v, g = x_try, v_new, g_new
     raise MaxIterations(f"no convergence to gradient tolerance {tol} in {_MAX_ITER} steps")
 

@@ -246,8 +246,6 @@ def monic_wilson(n: int, p: WilsonParams) -> MonicPoly:
     with a real pivot every factor (a+j)^2 + x^2 is real.
     """
     _check_degree(n)
-    if n == 0:
-        return MonicPoly(np.array([1.0]), VariableKind.X_SQUARED)
     pivot = _pivot(p.values)
     others = [v for i, v in enumerate(p.values) if i != pivot]
     _check_denominators([p.values[pivot] + e for e in others], n)
@@ -275,9 +273,6 @@ def monic_wilson(n: int, p: WilsonParams) -> MonicPoly:
 def monic_jacobi(n: int, p: JacobiParams) -> MonicPoly:
     """Monic rescaling of the Jacobi polynomial P_n^(alpha, beta)."""
     _check_degree(n)
-    if n == 0:
-        return MonicPoly(np.array([1.0]))
-
     # with D = 2**sh, term k times 2^n (alpha+1)_n is D^-n (-1)^k C(n, k)
     # (n+alpha+beta+1)_k 2^(n-k) (alpha+1+k)_{n-k} (1-x)^k, and the
     # polynomial is (alpha+1)_n / n! times the series

@@ -2,7 +2,7 @@
 
 A ``PotentialKind`` pairs a member of the ``params.Family`` registry with a
 parameter record of that member's ``params_type``; the parity-reduced
-systems run the Wilson formulas with the registry's extra parameters.
+systems run the Wilson formulas on their ``Family.wilson_params`` record.
 
 Flow right-hand sides, gradients, values and Hessians come from one
 evaluator per (kind, n), built by ``evaluator``. It precomputes what does
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCrossing, DomainViolation, ParameterError
+from .errors import DomainViolation, ParameterError
 from .params import ContinuousHahnParams, Family, JacobiParams, WilsonParams
 
 
@@ -58,12 +58,6 @@ class PotentialKind:
                 f"{self.family.value} expects {expected.__name__}, "
                 f"got {type(self.params).__name__}"
             )
-
-
-def _check_branch(*params: complex):
-    for a in params:
-        if a.real == 0:
-            raise BranchCrossing(f"parameter {a} sits on the arctan branch cut")
 
 
 def _param_columns(params) -> list[tuple[float, float, float]]:
@@ -122,13 +116,13 @@ class _MorseEvaluator(_Evaluator):
                + sum_{j<k} F(x_j + x_k)           (all but continuous Hahn),
 
     with A_a(x) = x arctan(x/a) - (a/2) log(1 + (x/a)^2) and
-    F(u) = u arctan(u) - log(1 + u^2) / 2. A parity-reduced system is the
-    Wilson flow whose parameters are (a, b) and the registry's extra
-    ``wilson_cd``; an extra parameter 0 enters as its one-sided limit on
-    y > 0, A_0(y) = (pi/2) y, which adds pi/2 to every c_j and nothing to
-    the Hessian. V is convex: F''(u) = 1 / (1 + u^2) > 0,
-    Re A_a''(x) = Re [a / (a^2 + x^2)] > 0 for Re a > 0, and the zero extra
-    parameter adds only a linear term.
+    F(u) = u arctan(u) - log(1 + u^2) / 2. Every family but continuous Hahn
+    takes its parameters from ``Family.wilson_params``, so a parity-reduced
+    system is the Wilson flow at (a, b, 1/2, 0) or (a, b, 1/2, 1). A
+    parameter 0 enters as its one-sided limit on y > 0, A_0(y) = (pi/2) y,
+    which adds pi/2 to every c_j and no column. V is convex:
+    F''(u) = 1 / (1 + u^2) > 0, Re A_a''(x) = Re [a / (a^2 + x^2)] > 0 for
+    Re a > 0, and a zero parameter adds only a linear term.
 
     Every arctan of the gradient is a column of one real n x K table
     arg[j, c] = (x_j - y_c) / alpha_c, in this order: the pair differences
@@ -168,25 +162,21 @@ class _MorseEvaluator(_Evaluator):
 
     def __init__(self, kind: PotentialKind, n: int):
         fam = kind.family
-        params = tuple(getattr(kind.params, k) for k in fam.param_names)
-        _check_branch(*params)
-        # 1/Re a and Im a / Re a scale a's arctan columns
-        for name, a in zip(fam.param_names, params):
-            scale = 1.0 / a.real
+        ch = fam is Family.CONTINUOUS_HAHN
+        params = (kind.params.a, kind.params.b) if ch else fam.wilson_params(kind.params).values
+        # 1/Re a and Im a / Re a scale a's arctan columns; a zero has none
+        for name, a in zip(Family.WILSON.param_names, params):
+            scale = 1.0 / a.real if a != 0 else 0.0
             if not np.isfinite(scale):
                 raise ParameterError(f"Re {name} = {a.real} is too small: 1/Re {name} overflows")
             if not np.isfinite(a.imag * scale):
-                raise ParameterError(
-                    f"Re {name} = {a.real} is too small for Im {name} = {a.imag}: "
-                    f"Im {name} / Re {name} overflows"
-                )
-        extra = fam.wilson_cd
-        params += tuple(complex(e) for e in extra if e != 0)
-        ch = fam is Family.CONTINUOUS_HAHN
-        # the linear term sum_j c_j x_j, plus pi/2 per zero extra parameter
+                raise ParameterError(f"Re {name} = {a.real} is too small for Im {name} = "
+                                     f"{a.imag}: Im {name} / Re {name} overflows")
+        # the linear term sum_j c_j x_j, plus pi/2 per zero parameter
         j = np.arange(1, n + 1)
         c = 0.5 * np.pi * (n + 1 - 2 * j) if ch else -np.pi * j
-        self._neg_linear = -(c + 0.5 * np.pi * extra.count(0))
+        self._neg_linear = -(c + 0.5 * np.pi * params.count(0))
+        params = tuple(a for a in params if a != 0)
         self._sums = not ch
         # after the pairs: for the Wilson systems the self pair, a column at
         # y = 0 of width 1/2 and weight -1, then the parameters. The rows of
@@ -273,8 +263,10 @@ class _MorseEvaluator(_Evaluator):
 
 
 def in_domain(x: np.ndarray) -> bool:
-    """Whether x is strictly increasing inside (-1, 1); NaN never is."""
-    return x.size == 0 or bool((x[1:] > x[:-1]).all() and x[0] > -1 and x[-1] < 1)
+    """Whether x is strictly increasing inside (-1, 1) with gaps above 2^-500,
+    so that 1/gap^2 <= 2^1000 is finite; NaN never is."""
+    return x.size == 0 or bool(np.minimum.reduce(x[1:] - x[:-1], initial=1.0) > 2.0**-500
+                               and x[0] > -1 and x[-1] < 1)
 
 
 class _JacobiEvaluator(_Evaluator):
@@ -305,10 +297,17 @@ class _JacobiEvaluator(_Evaluator):
     and 1 in the value (its logs are 0), and omega = (1/2, ..., 1/2, w_a,
     w_b) counts each pair from both ends. The mobility x^2 - 1 is
     D[:, n] D[:, n + 1] = (x - 1)(x + 1), which does not cancel near +-1.
+    On the domain 1 -+ x >= 2^-53 bounds the boundary terms of the Hessian's
+    diagonal by (w_a + w_b) 2^106, and a pair term 1/D^2 is at most 2^1000.
+    So the diagonal, the largest output, is finite for n < 2^23 unless
+    (w_a + w_b) 2^107 = (alpha + beta + 2) 2^106 overflows, a ``ParameterError``.
     """
 
     def __init__(self, p: JacobiParams, n: int):
         wa, wb = 0.5 * (p.alpha + 1), 0.5 * (p.beta + 1)
+        if not np.isfinite((wa + wb) * 2.0**107):
+            raise ParameterError(f"(alpha, beta) = ({p.alpha}, {p.beta}) is too large: (alpha + "
+                                 "beta + 2) 2^106, a bound of the Hessian's diagonal, overflows")
         self._lhs = np.ones((n, 2))
         # the right factor's second row is -y: -x (written per evaluation), -1, +1
         self._shift = np.ones((2, n + 2))
@@ -369,10 +368,9 @@ def electrostatic_rhs(p: JacobiParams, x) -> np.ndarray:
 
 
 def evaluator(kind: PotentialKind, n: int) -> _Evaluator:
-    """Evaluator of ``kind`` at degree n; raises ``BranchCrossing`` for a
-    parameter on the arctan branch cut and ``ParameterError`` for one whose
-    real part is too small to invert or to divide its imaginary part by, or
-    for parameters whose inverted real parts sum past the double range."""
+    """Evaluator of ``kind`` at degree n, for all but continuous Hahn on the
+    record of ``Family.wilson_params``. Raises ``ParameterError`` where a
+    bound of ``_MorseEvaluator`` or ``_JacobiEvaluator`` overflows."""
     if kind.family is Family.JACOBI:
         return _JacobiEvaluator(kind.params, n)
     return _MorseEvaluator(kind, n)

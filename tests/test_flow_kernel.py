@@ -12,7 +12,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from orthoflow import (
-    BranchCrossing,
     DomainViolation,
     FlowFamily,
     FlowSettings,
@@ -20,7 +19,6 @@ from orthoflow import (
     PotentialKind,
     StepUnderflow,
     Trajectory,
-    WilsonParams,
     equispaced_start,
     gradient,
     integrate,
@@ -209,17 +207,6 @@ def test_value_and_rhs_match_the_per_family_formulas(family, n):
         assert _close(gradient(kind, x), g_ref)
         if family is not FlowFamily.JACOBI:
             assert np.array_equal(rhs, -gradient(kind, x))
-
-
-def test_boundary_parameter_raises_branch_crossing():
-    kind = PotentialKind(FlowFamily.WILSON, WilsonParams(1.0, 1.0, 0.5, 0.0, allow_boundary=True))
-    x = np.array([0.5, 1.5, 2.5])
-    with pytest.raises(BranchCrossing):
-        potential(kind, x)
-    with pytest.raises(BranchCrossing):
-        gradient(kind, x)
-    with pytest.raises(BranchCrossing):
-        integrate(kind, x)
 
 
 # -- the integrator against the reference loop -------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from orthoflow import ContinuousHahnParams, FlowFamily, PotentialKind, WilsonParams
 from orthoflow.params import Family
-from orthoflow.potentials import _check_branch, _Evaluator, evaluator
+from orthoflow.potentials import _Evaluator, evaluator
 
 from conftest import random_ch_params, random_wilson_params
 
@@ -18,6 +18,16 @@ DEGREES = [0, 1, 2, 7, 33, 64]
 
 
 # -- reference: the complex-arithmetic evaluator ---------------------------------
+
+class BranchCrossing(Exception):
+    """A parameter with Re a = 0 sits on the branch cut of arctan(x / a)."""
+
+
+def _check_branch(*params: complex):
+    for a in params:
+        if a.real == 0:
+            raise BranchCrossing(f"parameter {a} sits on the arctan branch cut")
+
 
 class RefMorseEvaluator(_Evaluator):
     """Continuous Hahn, Wilson and the parity-reduced systems:

@@ -1,6 +1,7 @@
 """Non-finite parameters are rejected, and overflow never passes silently."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from orthoflow import (
     newton_solve,
     potential,
 )
-from orthoflow.potentials import in_domain
+from orthoflow.potentials import evaluator, in_domain
 from orthoflow.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 NON_FINITE = [float("inf"), float("-inf"), float("nan")]
@@ -319,3 +320,64 @@ def test_cli_kappa_bound_of_underflowing_squares_is_finite(n, b, tmp_path):
     assert main(argv) == EXIT_OK
     kappa = json.loads(out.read_text())["kappa_bound"]
     assert np.isfinite(kappa) and kappa > 1e179
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha,beta", [("1e308", "1"), ("1", "1e308"), ("1e307", "1")])
+@pytest.mark.parametrize("command", ["roots", "flow", "rate"])
+def test_cli_huge_jacobi_parameter_is_a_validation_error(command, alpha, beta, tmp_path, capsys):
+    # (alpha + 1)/2 / (1 - x)^2 <= (alpha + 1)/2 2^106 on the domain; the rhs
+    # used to overflow in its dot product (1e308) or Newton to fail (1e307)
+    argv = [command, "--family", "jacobi", "--n", "3", "--alpha", alpha, "--beta", beta]
+    if command == "flow":
+        argv += ["--output", str(tmp_path / "traj.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", (
+        f"error: (alpha, beta) = ({float(alpha)}, {float(beta)}) is too large: "
+        "(alpha + beta + 2) 2^106, a bound of the Hessian's diagonal, overflows\n"
+    ))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha,beta", [("1e100", "1"), ("1", "1e200")])
+def test_cli_large_jacobi_parameter_names_the_failed_line_search(alpha, beta, capsys):
+    # a root within ~1/alpha of -1 or 1 is not a double: Newton cannot descend
+    argv = ["roots", "--family", "jacobi", "--n", "3", "--alpha", alpha, "--beta", beta]
+    assert main(argv) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        r"numerical failure: SingularHessian: damped Newton step failed to decrease the "
+        r"potential at Newton iteration \d+ \(\|x\|_inf = \S+\)\n", err
+    ), err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_jacobi_evaluator_is_finite_below_the_parameter_bound():
+    # (alpha + beta + 2) 2^106 = (2^917 + 2) 2^106 < 2^1024 is accepted; the
+    # boundary and the pair terms are at their largest at these nodes
+    kind = PotentialKind(FlowFamily.JACOBI, JacobiParams(2.0**916, 2.0**916))
+    for x in ([-1 + 2.0**-53, 0.0, 1 - 2.0**-53], [-(2.0**-499), 0.0, 2.0**-499]):
+        x = np.array(x)
+        ev = evaluator(kind, x.size)
+        for out in (ev.rhs(x), ev.gradient(x), ev.hessian(x), ev.value(x)):
+            assert np.all(np.isfinite(out))
+    with pytest.raises(ParameterError, match="too large"):
+        evaluator(PotentialKind(FlowFamily.JACOBI, JacobiParams(2.0**917, 2.0**917)), 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x0", ["0,5e-324,0.5", "0,1e-300,0.5", "0,1e-160,0.5"])
+@pytest.mark.parametrize("command", ["roots", "flow", "rate"])
+def test_cli_jacobi_start_with_tiny_gaps_is_a_validation_error(command, x0, tmp_path, capsys):
+    # 1 / gap^2 overflows: the gaps of the domain exceed 2^-500
+    argv = [command, "--family", "jacobi", "--n", "3", "--alpha", "1", "--beta", "1",
+            "--init", "custom", "--x0", x0]
+    if command == "flow":
+        argv += ["--output", str(tmp_path / "traj.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr() == (
+        "", "error: Jacobi initial conditions must be strictly increasing inside (-1, 1)\n"
+    )
+    assert not in_domain(np.array([float(v) for v in x0.split(",")]))
+    assert in_domain(np.array([0.0, 2.0**-499, 0.5]))

@@ -70,6 +70,24 @@ def test_wilson_degree_zero():
     assert poly.coeffs.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("p", [
+    WilsonParams(1 + 1j, 1 - 1j, 2, 3),
+    WilsonParams(1, 0.3, 0.5, 0, allow_boundary=True),
+], ids=["complex-pair", "boundary"])
+def test_wilson_degree_zero_is_the_series_constant(p):
+    # the series at n = 0 is its constant term, 1
+    poly = monic_wilson(0, p)
+    assert poly.variable_kind is VariableKind.X_SQUARED
+    assert poly.coeffs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("p", [JacobiParams(0.5, -0.25), JacobiParams(-0.9, 3.0)], ids=str)
+def test_jacobi_degree_zero(p):
+    poly = monic_jacobi(0, p)
+    assert poly.variable_kind is VariableKind.X
+    assert poly.coeffs.tolist() == [1.0]
+
+
 def test_wilson_degree_one_half_parameters():
     # direct expansion of the degree-1 series with a=b=c=d=1/2 gives x^2 - 1/4
     poly = monic_wilson(1, WilsonParams(0.5, 0.5, 0.5, 0.5))

@@ -1,6 +1,7 @@
 """The parity-reduced continuous Hahn systems are Wilson systems:
 CH_2m(x) = W_m(x^2; a, b, 1/2, 0) and CH_2m+1(x) = x W_m(x^2; a, b, 1/2, 1).
-Their flows, Hessians, rate bounds and oracles are the Wilson ones."""
+Their flows, Hessians, rate bounds and oracles are the Wilson ones, bit for
+bit at the Wilson record of ``Family.wilson_params``."""
 
 import json
 
@@ -15,10 +16,13 @@ from orthoflow import (
     full_verify,
     gradient,
     hessian,
+    integrate,
     kappa_bound,
     kappa_continuous_hahn_symmetric,
+    newton_solve,
     potential,
 )
+from orthoflow.potentials import evaluator
 from orthoflow.cli import EXIT_OK, main
 
 from conftest import random_ch_params
@@ -60,6 +64,36 @@ def test_even_reduced_system_is_the_wilson_flow_at_d_to_zero(m):
     for p, y in _draws(m, 2):
         wilson = PotentialKind(Family.WILSON, WilsonParams(p.a, p.b, 0.5, 1e-9))
         _assert_same_flow(PotentialKind(Family.REDUCED_EVEN, p), wilson, y, 1e-7)
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("m", DEGREES)
+@pytest.mark.parametrize("family", REDUCED, ids=lambda f: f.value)
+def test_reduced_system_is_its_wilson_flow_bit_for_bit(family, m):
+    for p, y in _draws(m, 6):
+        kind = PotentialKind(family, p)
+        wilson = PotentialKind(Family.WILSON, family.wilson_params(p))
+        ev, wilson_ev = evaluator(kind, m), evaluator(wilson, m)
+        for method in ("rhs", "gradient", "hessian"):
+            got, ref = getattr(ev, method)(y), getattr(wilson_ev, method)(y)
+            assert got.tobytes() == ref.tobytes(), method
+        assert ev.value(y) == wilson_ev.value(y)
+        traj, wilson_traj = integrate(kind, default_start(kind, m)), integrate(wilson, np.zeros(m))
+        assert traj.times.tobytes() == wilson_traj.times.tobytes()
+        assert traj.states.tobytes() == wilson_traj.states.tobytes()
+        eq = newton_solve(kind, traj.states[-1], tol=1e-11)
+        assert eq.tobytes() == newton_solve(wilson, traj.states[-1], tol=1e-11).tobytes()
+        r_n = float(np.max(np.abs(eq)))
+        assert kappa_bound(kind, m, r_n) == kappa_bound(wilson, m, r_n)
+        report = _outcome(lambda: full_verify(family, p, m))
+        assert report == _outcome(lambda: full_verify(Family.WILSON, family.wilson_params(p), m))
 
 
 @pytest.mark.parametrize("m", DEGREES)

@@ -27,7 +27,7 @@ def test_reproduce_root_tables_runs():
 def test_run_decay_experiment_writes_logerr_files(tmp_path):
     proc = _run("run_decay_experiment.py", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    names = ("ch30_zeros", "ch30_all3", "w15_zeros", "ch29_odd")
+    names = ("ch30_zeros", "ch30_all3", "w15_zeros", "ch29_odd", "ch30_even")
     for name in names:
         path = tmp_path / f"{name}.logerr.csv"
         assert path.exists()

@@ -45,9 +45,9 @@ class OuterTableEvaluator(_MorseEvaluator):
     def __init__(self, kind, n):
         super().__init__(kind, n)
         fam = kind.family
-        params = tuple(getattr(kind.params, k) for k in fam.param_names)
-        params += tuple(complex(e) for e in fam.wilson_cd if e != 0)
         ch = fam is Family.CONTINUOUS_HAHN
+        params = (kind.params.a, kind.params.b) if ch else fam.wilson_params(kind.params).values
+        params = tuple(a for a in params if a != 0)
         head = [] if ch else [(0.0, 2.0, -1.0)]
         pairs = n if ch else 2 * n
         static = head + _param_columns(params)
